@@ -1,0 +1,71 @@
+#!/usr/bin/env python3
+"""Write a fixed set of experiment CSVs and print one sha256 line per file.
+
+The set is the three quick figures (sizes as in ``reproduce_figures.py
+--quick``) plus one config each of ``risk``, ``bounds`` (at a = A* and at
+a != A*), ``kalman-bounds``, ``pareto`` and ``perturb``.  Running it before
+and after a change that must not alter any number gives two tables that
+should match line for line.
+
+Usage:
+    python scripts/csv_digest.py OUTDIR
+"""
+
+import argparse
+import hashlib
+import pathlib
+import sys
+
+from advrisk.experiments import ExperimentConfig, run_experiment
+from reproduce_figures import FULL, figure_config
+
+_A_STAR = [[1.0, 0.3, 0.0], [0.2, 0.8, 0.1], [0.0, -0.4, 0.6]]
+_A = [[0.9, 0.2, 0.1], [0.1, 0.7, 0.0], [0.0, -0.3, 0.5]]
+
+# name -> ExperimentConfig fields; MC sizes exceed one sampling chunk
+# (32 768 rows) so the chunked path is covered.
+EXTRA = {
+    "risk": dict(kind="risk", n_samples=40_000,
+                 params={"a_star": _A_STAR, "a": _A, "epsilon": 0.5}),
+    "bounds_astar": dict(kind="bounds", n_samples=40_000,
+                         params={"a_star": _A_STAR, "epsilon": 0.5}),
+    "bounds_a": dict(kind="bounds", n_samples=40_000,
+                     params={"a_star": _A_STAR, "a": _A, "epsilon": 0.5}),
+    "kalman_bounds": dict(kind="kalman-bounds", n_samples=40_000,
+                          params={"alphas": [0.95, 0.99], "k": 3, "horizon": 5,
+                                  "epsilon": 0.5}),
+    "pareto": dict(kind="pareto", n_samples=5_000, lambda_grid=[0.0, 0.1, 1.0, float("inf")],
+                   params={"a_star": [[1.0, 0.2], [0.0, 0.8]], "epsilon": 0.5,
+                           "train": {"n_iters": 400, "batch_size": 16}}),
+    "perturb": dict(kind="perturb",
+                    params={"a": _A, "b": [0.3, -1.2, 0.7], "epsilon": 0.5}),
+}
+
+
+SEED = 0
+
+
+def configs(outdir: pathlib.Path) -> list[ExperimentConfig]:
+    out = [figure_config(name, outdir, seed=SEED, quick=True, svg=False) for name in sorted(FULL)]
+    out += [ExperimentConfig(seed=SEED, output_path=str(outdir / f"{name}.csv"), **fields)
+            for name, fields in EXTRA.items()]
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("outdir")
+    args = parser.parse_args()
+
+    outdir = pathlib.Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for config in configs(outdir):
+        run_experiment(config)
+        path = pathlib.Path(config.output_path)
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

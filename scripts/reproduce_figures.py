@@ -44,6 +44,29 @@ QUICK = {
 }
 
 
+def figure_config(name: str, outdir: pathlib.Path, seed: int = 0, quick: bool = False,
+                  svg: bool = True) -> ExperimentConfig:
+    """Experiment config of one figure, at full scale or with the --quick sizes."""
+    spec = {key: (dict(value) if isinstance(value, dict) else value)
+            for key, value in FULL[name].items()}
+    spec["params"] = {k: (dict(v) if isinstance(v, dict) else v)
+                      for k, v in spec["params"].items()}
+    if quick:
+        q = QUICK[name]
+        spec["params"]["train"]["n_iters"] = q["train_iters"]
+        spec["n_samples"] = q["samples"]
+        if "lambda_grid" in q:
+            spec["lambda_grid"] = q["lambda_grid"]
+        if "n_rhos" in q:
+            spec["params"]["n_rhos"] = q["n_rhos"]
+    return ExperimentConfig(
+        seed=seed,
+        output_path=str(outdir / f"fig_{name.replace('-', '_')}.csv"),
+        svg=svg,
+        **spec,
+    )
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="results")
@@ -55,24 +78,7 @@ def main() -> int:
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in args.figures:
-        spec = {key: (dict(value) if isinstance(value, dict) else value)
-                for key, value in FULL[name].items()}
-        spec["params"] = {k: (dict(v) if isinstance(v, dict) else v)
-                          for k, v in spec["params"].items()}
-        if args.quick:
-            q = QUICK[name]
-            spec["params"]["train"]["n_iters"] = q["train_iters"]
-            spec["n_samples"] = q["samples"]
-            if "lambda_grid" in q:
-                spec["lambda_grid"] = q["lambda_grid"]
-            if "n_rhos" in q:
-                spec["params"]["n_rhos"] = q["n_rhos"]
-        config = ExperimentConfig(
-            seed=args.seed,
-            output_path=str(outdir / f"fig_{name.replace('-', '_')}.csv"),
-            svg=True,
-            **spec,
-        )
+        config = figure_config(name, outdir, seed=args.seed, quick=args.quick)
         start = time.time()
         table = run_experiment(config)
         print(f"{name}: {len(table.rows)} rows -> {config.output_path} "

@@ -10,9 +10,7 @@ from .model import (
     RngStream,
     SampleBatch,
     cholesky_factor,
-    eigen_extremes,
     sample_batch,
-    symmetric_sqrt,
     validate_covariance,
 )
 from .trs import (

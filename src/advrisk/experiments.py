@@ -77,9 +77,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}; options: {EXPERIMENT_KINDS}")
+        for name in ("seed", "n_samples"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.n_samples <= 0:
             raise ConfigError("n_samples must be positive")
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if not isinstance(self.params, dict):
             raise ConfigError("params must be an object")
@@ -262,12 +266,15 @@ def shear_system(rho: float, sigma_v: float = 0.1, horizon: int = 5) -> LtiSyste
     return LtiSystem.from_matrices(a, c, np.eye(2), 0.1 * np.eye(2), [[sigma_v]], horizon)
 
 
-def _train_config(params: dict, config: ExperimentConfig, epsilon: float) -> TrainConfig:
+def _train_config(
+    params: dict, config: ExperimentConfig, epsilon: float, lam: float = 0.0
+) -> TrainConfig:
     train = params.get("train", {})
     if not isinstance(train, dict):
         raise ConfigError("params.train must be an object")
     try:
         return TrainConfig(
+            lam=lam,
             epsilon=epsilon,
             batch_size=int(train.get("batch_size", 32)),
             n_iters=int(train.get("n_iters", 5000)),
@@ -462,9 +469,7 @@ def _run_fig_kf_vs_adv(config: ExperimentConfig) -> ResultTable:
         stream = RngStream(config.seed, _MC_STREAM)
         sr_kf = estimator_sr_closed(nominal, system, k)
         ar_kf = estimator_ar_mc(nominal, system, k, eps, config.n_samples, stream)
-        train_cfg = _train_config(params, config, eps)
-        train_cfg.pure_ar = True
-        robust = train(adapter, train_cfg)
+        robust = train(adapter, _train_config(params, config, eps, lam=math.inf))
         sr_adv = estimator_sr_closed(robust, system, k)
         ar_adv = estimator_ar_mc(robust, system, k, eps, config.n_samples, stream)
         rows.append([

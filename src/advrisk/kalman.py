@@ -14,6 +14,7 @@ the gramian's spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -23,15 +24,13 @@ from .model import (
     cholesky_factor,
     validate_covariance,
 )
-from .risk import RiskEstimate, mc_estimate
+from .risk import RiskEstimate, isotropic_scale, mc_mean
 from .training import EstimationProblem
-from .trs import svd_full, worst_case_batch
 
 REGIME_HIGH = "high_observability"
 REGIME_LOW = "low_observability"
 
 ISOTROPY_ATOL = 1e-9
-_GEN_CHUNK = 32_768
 
 _HALF_NORMAL = np.sqrt(2.0 / np.pi)
 
@@ -91,32 +90,13 @@ class LtiSystem:
         return self.c.shape[0]
 
 
-@dataclass(frozen=True)
-class IsotropyInfo:
-    """Scales detected when all covariances are isotropic and ``A'A = rho^2 I``."""
-
-    sigma0_sq: float
-    sigma_w_sq: float
-    sigma_v_sq: float
-    rho: float
-
-
-def detect_isotropy(system: LtiSystem, atol: float = ISOTROPY_ATOL) -> IsotropyInfo | None:
-    """Return the isotropic scales if the simplified-bound regime applies."""
-
-    def scale(mat):
-        d = mat.shape[0]
-        c = float(np.trace(mat)) / d
-        return c if np.abs(mat - c * np.eye(d)).max() <= atol else None
-
-    s0 = scale(system.sigma0.matrix)
-    sw = scale(system.sigma_w.matrix)
-    sv = scale(system.sigma_v.matrix)
-    gram = system.a.T @ system.a
-    rho_sq = scale(gram)
-    if None in (s0, sw, sv, rho_sq) or rho_sq < 0.0:
-        return None
-    return IsotropyInfo(sigma0_sq=s0, sigma_w_sq=sw, sigma_v_sq=sv, rho=float(np.sqrt(rho_sq)))
+def detect_isotropy(system: LtiSystem, atol: float = ISOTROPY_ATOL) -> float | None:
+    """Return ``rho`` if all covariances are isotropic and ``A'A = rho^2 I``
+    (the simplified-bound regime), else None."""
+    mats = (system.sigma0.matrix, system.sigma_w.matrix, system.sigma_v.matrix,
+            system.a.T @ system.a)
+    scales = [isotropic_scale(m, atol) for m in mats]
+    return None if None in scales else float(np.sqrt(scales[-1]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,6 +121,11 @@ def _powers(a: np.ndarray, top: int) -> list[np.ndarray]:
     return pows
 
 
+def _observability_matrix(c: np.ndarray, pows: list[np.ndarray]) -> np.ndarray:
+    """``[C; C A; ...; C A^t]`` from the powers ``[I, A, ..., A^t]``."""
+    return np.vstack([c @ pw for pw in pows])
+
+
 def build_stacked(system: LtiSystem, k: int) -> StackedModel:
     """Observability matrix, noise Toeplitz, and state-impulse blocks."""
     horizon = system.horizon
@@ -148,7 +133,7 @@ def build_stacked(system: LtiSystem, k: int) -> StackedModel:
         raise ValueError(f"k must lie in [0, {horizon}], got {k}")
     n, p = system.n, system.p
     pows = _powers(system.a, horizon)
-    obs = np.vstack([system.c @ pows[t] for t in range(horizon + 1)])
+    obs = _observability_matrix(system.c, pows)
     toeplitz = np.zeros((p * (horizon + 1), n * horizon))
     for t in range(1, horizon + 1):
         for j in range(t):
@@ -183,8 +168,7 @@ def observability_gramian(system: LtiSystem, n_steps: int | None = None) -> Gram
     steps = system.horizon if n_steps is None else int(n_steps)
     if steps < 0:
         raise ValueError("n_steps must be >= 0")
-    pows = _powers(system.a, steps)
-    obs = np.vstack([system.c @ pows[t] for t in range(steps + 1)])
+    obs = _observability_matrix(system.c, _powers(system.a, steps))
     gram = obs.T @ obs
     gram = 0.5 * (gram + gram.T)
     eigs = np.linalg.eigvalsh(gram)
@@ -198,8 +182,7 @@ def observability_gramian(system: LtiSystem, n_steps: int | None = None) -> Gram
 
 def is_observable(system: LtiSystem) -> bool:
     """Rank test on the ``n-1``-step observability matrix via SVD."""
-    pows = _powers(system.a, system.n - 1)
-    obs = np.vstack([system.c @ pows[t] for t in range(system.n)])
+    obs = _observability_matrix(system.c, _powers(system.a, system.n - 1))
     s = np.linalg.svd(obs, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return False
@@ -210,15 +193,18 @@ def _kron_eye(block: np.ndarray, reps: int) -> np.ndarray:
     return np.kron(np.eye(reps), block) if reps > 0 else np.zeros((0, 0))
 
 
-def _second_moments(system: LtiSystem, stacked: StackedModel):
-    """Covariance of the stacked measurements and its cross term with x_k."""
+def _mmse(system: LtiSystem, k: int):
+    """Minimum-mean-square estimator of ``x_k`` with the second moments it
+    solves: ``(L, G_yy, G_xy)``, ``G_yy`` the covariance of the stacked
+    measurements and ``G_xy`` its cross term with ``x_k``."""
+    stacked = build_stacked(system, k)
     horizon = system.horizon
     iw = _kron_eye(system.sigma_w.matrix, horizon)
     iv = _kron_eye(system.sigma_v.matrix, horizon + 1)
     obs, tau = stacked.obs, stacked.toeplitz
     g_yy = obs @ system.sigma0.matrix @ obs.T + tau @ iw @ tau.T + iv
     g_xy = stacked.a_pow_k @ system.sigma0.matrix @ obs.T + stacked.gamma_k @ iw @ tau.T
-    return g_yy, g_xy
+    return np.linalg.solve(g_yy.T, g_xy.T).T, g_yy, g_xy
 
 
 def kalman_estimator(system: LtiSystem, k: int) -> np.ndarray:
@@ -227,9 +213,7 @@ def kalman_estimator(system: LtiSystem, k: int) -> np.ndarray:
     Filter for ``k = N``, smoother for ``k < N``.  Computed from the joint
     second moments; the measurement-noise term keeps the solve well posed.
     """
-    stacked = build_stacked(system, k)
-    g_yy, g_xy = _second_moments(system, stacked)
-    return np.linalg.solve(g_yy.T, g_xy.T).T
+    return _mmse(system, k)[0]
 
 
 def recursive_kf(system: LtiSystem, measurements) -> list[np.ndarray]:
@@ -269,36 +253,33 @@ def _check_estimator_shape(l, system: LtiSystem) -> np.ndarray:
     return l
 
 
+def _residual_terms(l, system: LtiSystem, k: int):
+    """The residual ``x_k - L Y`` as three (map, noise covariance) pairs:
+    initial-state mismatch, process-noise mismatch, and measurement noise."""
+    l = _check_estimator_shape(l, system)
+    stacked = build_stacked(system, k)
+    horizon = system.horizon
+    return (
+        (stacked.a_pow_k - l @ stacked.obs, system.sigma0.matrix),
+        (stacked.gamma_k - l @ stacked.toeplitz, _kron_eye(system.sigma_w.matrix, horizon)),
+        (l, _kron_eye(system.sigma_v.matrix, horizon + 1)),
+    )
+
+
 def estimator_sr_closed(l, system: LtiSystem, k: int) -> float:
     """Standard risk ``E ||x_k - L Y||^2`` in closed form.
 
     Sum of three weighted Frobenius norms: initial-state mismatch, process
     noise mismatch, and measurement noise amplification.
     """
-    l = _check_estimator_shape(l, system)
-    stacked = build_stacked(system, k)
-    s_mat = stacked.a_pow_k - l @ stacked.obs
-    t_mat = stacked.gamma_k - l @ stacked.toeplitz
-    horizon = system.horizon
-    term0 = np.sum((s_mat @ system.sigma0.matrix) * s_mat)
-    term_w = np.sum((t_mat @ _kron_eye(system.sigma_w.matrix, horizon)) * t_mat)
-    term_v = np.sum((l @ _kron_eye(system.sigma_v.matrix, horizon + 1)) * l)
+    term0, term_w, term_v = (np.sum((m @ noise) * m) for m, noise in _residual_terms(l, system, k))
     return float(term0 + term_w + term_v)
 
 
 def residual_covariance(l, system: LtiSystem, k: int) -> CovarianceSpec:
     """Covariance of the estimation residual ``x_k - L Y`` (n x n, PSD)."""
-    l = _check_estimator_shape(l, system)
-    stacked = build_stacked(system, k)
-    s_mat = stacked.a_pow_k - l @ stacked.obs
-    t_mat = stacked.gamma_k - l @ stacked.toeplitz
-    horizon = system.horizon
-    cov = (
-        s_mat @ system.sigma0.matrix @ s_mat.T
-        + t_mat @ _kron_eye(system.sigma_w.matrix, horizon) @ t_mat.T
-        + l @ _kron_eye(system.sigma_v.matrix, horizon + 1) @ l.T
-    )
-    return validate_covariance(cov, name="residual covariance")
+    term0, term_w, term_v = (m @ noise @ m.T for m, noise in _residual_terms(l, system, k))
+    return validate_covariance(term0 + term_w + term_v, name="residual covariance")
 
 
 def simulate_rollouts(
@@ -331,34 +312,17 @@ def simulate_rollouts(
     return ys, xk
 
 
-def _rollout_values(l, system, k, epsilon, n_samples, stream, base_index, want):
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
+def _rollout_mean(l, system, k, epsilon, n_samples, stream, base_index, column):
     l = _check_estimator_shape(l, system)
-    fact = svd_full(l)
-    out = {key: np.empty(n_samples) for key in want}
-    for start in range(0, n_samples, _GEN_CHUNK):
-        cnt = min(_GEN_CHUNK, n_samples - start)
-        ys, xk = simulate_rollouts(system, k, cnt, stream, base_index + start)
-        b = xk - ys @ l.T
-        sl = slice(start, start + cnt)
-        if "gain" in out or "value" in out:
-            _, gains, _, _ = worst_case_batch(fact, b, epsilon)
-            if "gain" in out:
-                out["gain"][sl] = gains
-            if "value" in out:
-                out["value"][sl] = (b * b).sum(axis=1) + gains
-        if "sr" in out:
-            out["sr"][sl] = (b * b).sum(axis=1)
-    return out
+    draw = partial(simulate_rollouts, system, k)
+    return mc_mean(l, draw, n_samples, stream, base_index, epsilon, column)
 
 
 def estimator_sr_mc(
     l, system: LtiSystem, k: int, n_samples: int, stream: RngStream, base_index: int = 0
 ) -> RiskEstimate:
     """Monte Carlo standard risk over simulated rollouts (cross-check)."""
-    out = _rollout_values(l, system, k, 0.0, n_samples, stream, base_index, ("sr",))
-    return mc_estimate(out["sr"], stream.seed)
+    return _rollout_mean(l, system, k, 0.0, n_samples, stream, base_index, "sq")
 
 
 def estimator_ar_mc(
@@ -376,8 +340,7 @@ def estimator_ar_mc(
     adversary (one SVD of ``L`` shared across rollouts); the worst-case loss
     is ``||b||^2`` plus the gain.
     """
-    out = _rollout_values(l, system, k, epsilon, n_samples, stream, base_index, ("value",))
-    return mc_estimate(out["value"], stream.seed)
+    return _rollout_mean(l, system, k, epsilon, n_samples, stream, base_index, "value")
 
 
 def estimator_gap_mc(
@@ -390,8 +353,7 @@ def estimator_gap_mc(
     base_index: int = 0,
 ) -> RiskEstimate:
     """Common-random-number estimate of ``AR(L) - SR(L)`` (mean gain)."""
-    out = _rollout_values(l, system, k, epsilon, n_samples, stream, base_index, ("gain",))
-    return mc_estimate(out["gain"], stream.seed)
+    return _rollout_mean(l, system, k, epsilon, n_samples, stream, base_index, "gain")
 
 
 def gap_lower_bounds(l, system: LtiSystem, k: int, epsilon: float) -> tuple[float, float]:
@@ -557,12 +519,7 @@ def as_estimation_problem(system: LtiSystem, k: int) -> EstimationProblem:
     trained and frontier-traced with the same machinery as the plain
     measurement model.
     """
-    stacked = build_stacked(system, k)
-    g_yy, g_xy = _second_moments(system, stacked)
-    nominal = np.linalg.solve(g_yy.T, g_xy.T).T
-
-    def draw(count, stream, base_index):
-        return simulate_rollouts(system, k, count, stream, base_index)
+    nominal, g_yy, g_xy = _mmse(system, k)
 
     def sr_grad(l):
         return 2.0 * (l @ g_yy - g_xy)
@@ -574,7 +531,7 @@ def as_estimation_problem(system: LtiSystem, k: int) -> EstimationProblem:
         dim_out=system.n,
         dim_in=system.p * (system.horizon + 1),
         nominal=nominal,
-        draw=draw,
+        draw=partial(simulate_rollouts, system, k),
         sr_closed=lambda l: estimator_sr_closed(l, system, k),
         sr_grad=sr_grad,
         ar_mc=ar_mc,

@@ -85,16 +85,6 @@ def validate_covariance(m, strict: bool = False, name: str = "covariance") -> Co
     return CovarianceSpec(matrix=sym, strict=strict)
 
 
-def symmetric_sqrt(spec: CovarianceSpec) -> np.ndarray:
-    """Symmetric PSD square root ``M`` with ``M @ M == spec.matrix``.
-
-    Eigenvalues that round slightly negative are clamped to zero.
-    """
-    eigs, vecs = np.linalg.eigh(spec.matrix)
-    root = (vecs * np.sqrt(np.clip(eigs, 0.0, None))) @ vecs.T
-    return 0.5 * (root + root.T)
-
-
 def cholesky_factor(spec: CovarianceSpec) -> np.ndarray:
     """Lower-triangular ``L`` with ``L @ L.T == spec.matrix``; requires SPD."""
     try:
@@ -103,12 +93,6 @@ def cholesky_factor(spec: CovarianceSpec) -> np.ndarray:
         raise np.linalg.LinAlgError(
             "Cholesky failed: covariance is not strictly positive definite"
         ) from exc
-
-
-def eigen_extremes(sym) -> tuple[float, float]:
-    """(min, max) eigenvalues of a symmetric matrix."""
-    eigs = np.linalg.eigvalsh(np.asarray(sym, dtype=float))
-    return float(eigs[0]), float(eigs[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,6 +223,16 @@ def sample_batch(
     ws = z[:, n:] @ lw.T
     ys = xs @ problem.a_star.T + ws
     return SampleBatch(xs=xs, ws=ws, ys=ys, seed=stream.seed, base_index=base_index)
+
+
+def pair_sampler(problem: LinearInverseProblem):
+    """``draw(count, stream, base_index) -> (xs, ys)`` over ``sample_batch``."""
+
+    def draw(count, stream, base_index):
+        batch = sample_batch(problem, count, stream, base_index)
+        return batch.xs, batch.ys
+
+    return draw
 
 
 def sharded_sum(values: np.ndarray, shard: int = 1024) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LinearInverseProblem, RngStream, sample_batch, sharded_sum
+from .model import LinearInverseProblem, RngStream, pair_sampler, sharded_sum
 from .trs import SvdFactorization, svd_full, worst_case_batch
 
 DEFAULT_SAMPLES = 100_000
@@ -79,32 +79,41 @@ def standard_risk_closed(a, problem: LinearInverseProblem) -> float:
     return float(np.trace(problem.sigma_w.matrix) + np.sum((diff @ problem.sigma_x.matrix) * diff))
 
 
-def _per_sample(a, problem, n_samples, stream, base_index, epsilon, want):
-    """Stream per-sample quantities in fixed chunks.
+def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):
+    """One streaming Monte Carlo pass over the residuals ``b = target - A input``.
 
-    ``want`` selects columns from {"value", "gain", "cross"}:
-    value = worst-case loss, gain = AR_i - SR_i, cross = ||A'(y - Ax)||.
+    ``draw(count, stream, base_index) -> (inputs, targets)`` must give row
+    ``i`` from the counter block of sample ``base_index + i``, so the
+    columns do not depend on the chunking.  ``want`` selects columns from
+    {"sq", "gain", "value", "cross"}: sq = ``||b||^2``, gain = AR_i - SR_i
+    from the exact inner adversary, value = sq + gain (the worst-case loss),
+    cross = ``||A'b||``.  Returns the SVD of ``a``, shared by every chunk,
+    and the columns.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     a = np.asarray(a, dtype=float)
     fact = svd_full(a)
-    eps = problem.epsilon if epsilon is None else float(epsilon)
     out = {key: np.empty(n_samples) for key in want}
     for start in range(0, n_samples, _GEN_CHUNK):
         cnt = min(_GEN_CHUNK, n_samples - start)
-        batch = sample_batch(problem, cnt, stream, base_index + start)
-        b = batch.ys - batch.xs @ a.T
-        sl = slice(start, start + cnt)
-        if "value" in out or "gain" in out:
-            _, gains, _, _ = worst_case_batch(fact, b, eps)
-            if "gain" in out:
-                out["gain"][sl] = gains
-            if "value" in out:
-                out["value"][sl] = (b * b).sum(axis=1) + gains
+        inputs, targets = draw(cnt, stream, base_index + start)
+        b = targets - inputs @ a.T
+        cols = {"sq": (b * b).sum(axis=1)}
+        if "gain" in out or "value" in out:
+            cols["gain"] = worst_case_batch(fact, b, eps)[1]
+            cols["value"] = cols["sq"] + cols["gain"]
         if "cross" in out:
-            out["cross"][sl] = np.linalg.norm(b @ a, axis=1)
+            cols["cross"] = np.linalg.norm(b @ a, axis=1)
+        for key, col in out.items():
+            col[start : start + cnt] = cols[key]
     return fact, out
+
+
+def mc_mean(a, draw, n_samples, stream, base_index, eps, column) -> RiskEstimate:
+    """Estimate the mean of one ``_mc_columns`` column."""
+    _, out = _mc_columns(a, draw, n_samples, stream, base_index, eps, (column,))
+    return mc_estimate(out[column], stream.seed)
 
 
 def standard_risk_mc(
@@ -115,8 +124,7 @@ def standard_risk_mc(
     base_index: int = 0,
 ) -> RiskEstimate:
     """Monte Carlo ``E ||y - Ax||^2`` on the given stream (for cross-checks)."""
-    _, out = _per_sample(a, problem, n_samples, stream, base_index, 0.0, ("value",))
-    return mc_estimate(out["value"], stream.seed)
+    return mc_mean(a, pair_sampler(problem), n_samples, stream, base_index, 0.0, "sq")
 
 
 def adversarial_risk_mc(
@@ -129,8 +137,8 @@ def adversarial_risk_mc(
 ) -> RiskEstimate:
     """Monte Carlo adversarial risk: per sample ``||b||^2`` plus the exact
     inner-adversary gain, with one SVD of ``a`` shared by all samples."""
-    _, out = _per_sample(a, problem, n_samples, stream, base_index, epsilon, ("value",))
-    return mc_estimate(out["value"], stream.seed)
+    eps = problem.epsilon if epsilon is None else float(epsilon)
+    return mc_mean(a, pair_sampler(problem), n_samples, stream, base_index, eps, "value")
 
 
 def ar_sr_gap_mc(
@@ -147,8 +155,8 @@ def ar_sr_gap_mc(
     is nonnegative, so this estimator is far tighter than differencing two
     independent risk estimates.
     """
-    _, out = _per_sample(a, problem, n_samples, stream, base_index, epsilon, ("gain",))
-    return mc_estimate(out["gain"], stream.seed)
+    eps = problem.epsilon if epsilon is None else float(epsilon)
+    return mc_mean(a, pair_sampler(problem), n_samples, stream, base_index, eps, "gain")
 
 
 def gap_bounds_mc(
@@ -166,7 +174,8 @@ def gap_bounds_mc(
     rank deficient).
     """
     eps = problem.epsilon if epsilon is None else float(epsilon)
-    fact, out = _per_sample(a, problem, n_samples, stream, base_index, eps, ("cross",))
+    fact, out = _mc_columns(a, pair_sampler(problem), n_samples, stream, base_index, eps,
+                            ("cross",))
     est = mc_estimate(out["cross"], stream.seed)
     lam_min, lam_max = _extreme_eigs(fact)
     return GapBounds(

@@ -10,13 +10,14 @@ over a grid with warm starts sweeps out the robustness-accuracy frontier.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .model import LinearInverseProblem, RngStream, TrainingDivergedError, sample_batch
+from .model import LinearInverseProblem, RngStream, TrainingDivergedError, pair_sampler
 from .risk import RiskEstimate, adversarial_risk_mc, standard_risk_closed, with_epsilon
 from .trs import worst_case_batch, worst_case_perturbation
 
@@ -50,10 +51,6 @@ class EstimationProblem:
 def problem_adapter(problem: LinearInverseProblem) -> EstimationProblem:
     """Adapter for the plain measurement model ``y = A* x + w``."""
 
-    def draw(count, stream, base_index):
-        batch = sample_batch(problem, count, stream, base_index)
-        return batch.xs, batch.ys
-
     def sr_grad(a):
         return 2.0 * (a - problem.a_star) @ problem.sigma_x.matrix
 
@@ -64,7 +61,7 @@ def problem_adapter(problem: LinearInverseProblem) -> EstimationProblem:
         dim_out=problem.p,
         dim_in=problem.n,
         nominal=problem.a_star.copy(),
-        draw=draw,
+        draw=pair_sampler(problem),
         sr_closed=lambda a: standard_risk_closed(a, problem),
         sr_grad=sr_grad,
         ar_mc=ar_mc,
@@ -76,10 +73,10 @@ def problem_adapter(problem: LinearInverseProblem) -> EstimationProblem:
 class TrainConfig:
     """SGD hyperparameters.
 
-    ``lam = math.inf`` (or ``pure_ar=True``) trains on the adversarial risk
-    alone.  The step at iteration ``t`` is ``step_c0 / t**step_decay``; the
-    default ``step_c0`` shrinks with ``lam`` to keep early steps stable.
-    The returned matrix is the average of the final 10% of iterates.
+    ``lam = math.inf`` trains on the adversarial risk alone (``pure_ar``).
+    The step at iteration ``t`` is ``step_c0 / t**step_decay``; the default
+    ``step_c0`` shrinks with ``lam`` to keep early steps stable.  The
+    returned matrix is the average of the final 10% of iterates.
     """
 
     lam: float = 0.0
@@ -90,17 +87,21 @@ class TrainConfig:
     step_decay: float = 0.5
     seed: int = 0
     init: str | np.ndarray = "nominal"
-    pure_ar: bool = False
 
     def __post_init__(self):
-        if isinstance(self.lam, float) and math.isinf(self.lam):
-            self.pure_ar = True
+        if math.isnan(self.lam) or not math.isfinite(self.epsilon):
+            raise ValueError(f"lam must not be NaN and epsilon must be finite, "
+                             f"got lam={self.lam}, epsilon={self.epsilon}")
         if self.lam < 0 or self.epsilon < 0:
             raise ValueError("lam and epsilon must be nonnegative")
         if not (0.5 <= self.step_decay <= 1.0):
             raise ValueError("step_decay must lie in [0.5, 1]")
         if self.batch_size <= 0 or self.n_iters <= 0:
             raise ValueError("batch_size and n_iters must be positive")
+
+    @property
+    def pure_ar(self) -> bool:
+        return math.isinf(self.lam)
 
     def resolved_step_c0(self, input_scale: float = 1.0) -> float:
         if self.step_c0 is not None:
@@ -225,18 +226,7 @@ def pareto_trace(
     points = []
     init = config.init
     for lam in grid:
-        cfg = TrainConfig(
-            lam=0.0 if math.isinf(lam) else lam,
-            epsilon=config.epsilon,
-            batch_size=config.batch_size,
-            n_iters=config.n_iters,
-            step_c0=config.step_c0,
-            step_decay=config.step_decay,
-            seed=config.seed,
-            init=init,
-            pure_ar=math.isinf(lam),
-        )
-        a = train(adapter, cfg)
+        a = train(adapter, dataclasses.replace(config, lam=lam, init=init))
         points.append(
             ParetoPoint(
                 lam=lam,

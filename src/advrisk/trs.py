@@ -237,6 +237,8 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
     """
     fact = _as_svd(a)
     b_batch = np.asarray(b_batch, dtype=float)
+    if b_batch.ndim != 2 or b_batch.shape[1] != fact.p:
+        raise ValueError(f"b must have shape (m, {fact.p}), got {b_batch.shape}")
     if not np.all(np.isfinite(b_batch)):
         raise ValueError("b has non-finite entries")
     if eps < 0.0 or not np.isfinite(eps):

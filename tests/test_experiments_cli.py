@@ -220,6 +220,18 @@ class TestCli:
                                                "epsilon": 0.5}}))
         assert main(["perturb", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("n_samples", True)])
+    def test_non_integer_field_is_config_error(self, tmp_path, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"a_star": [[1.0]]}, field: value}))
+        assert main(["risk", "--config", str(path)]) == 2
+
+    def test_non_finite_training_epsilon_is_config_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"alphas": [0.95], "ks": [0],
+                                               "epsilon": float("nan")}}))
+        assert main(["experiment", "fig-observability", "--config", str(path)]) == 2
+
     def test_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

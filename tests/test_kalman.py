@@ -347,9 +347,7 @@ def test_r_factor_values():
 
 
 def test_detect_isotropy():
-    assert detect_isotropy(rotation_system(0.95)) is not None
-    info = detect_isotropy(rotation_system(0.95))
-    assert np.isclose(info.rho, 1.0)
+    assert np.isclose(detect_isotropy(rotation_system(0.95)), 1.0)
     skew = make_system(np.array([[0.9, 0.5], [0.0, 0.2]]), np.eye(2))
     assert detect_isotropy(skew) is None
 

@@ -7,9 +7,7 @@ from advrisk.model import (
     LinearInverseProblem,
     RngStream,
     cholesky_factor,
-    eigen_extremes,
     sample_batch,
-    symmetric_sqrt,
     validate_covariance,
 )
 from conftest import random_spd
@@ -50,24 +48,6 @@ class TestValidateCovariance:
 
 
 class TestSymmetricSqrt:
-    def test_diagonal(self):
-        spec = validate_covariance(np.diag([4.0, 9.0]))
-        assert np.allclose(symmetric_sqrt(spec), np.diag([2.0, 3.0]), atol=1e-12)
-
-    def test_identity(self):
-        spec = validate_covariance(np.eye(4))
-        assert np.allclose(symmetric_sqrt(spec), np.eye(4), atol=1e-12)
-
-    def test_reconstruction_random_spd(self, rng):
-        for _ in range(20):
-            w = random_spd(rng, 4)
-            spec = validate_covariance(w)
-            root = symmetric_sqrt(spec)
-            assert np.array_equal(root, root.T)
-            rel = np.linalg.norm(root @ root - spec.matrix) / np.linalg.norm(spec.matrix)
-            assert rel <= 1e-10
-            assert np.linalg.eigvalsh(root)[0] >= -1e-12
-
     def test_cholesky_reconstruction(self, rng):
         for _ in range(10):
             w = random_spd(rng, 5)
@@ -80,11 +60,6 @@ class TestSymmetricSqrt:
         spec = validate_covariance(np.diag([1.0, 0.0]))
         with pytest.raises(np.linalg.LinAlgError):
             cholesky_factor(spec)
-
-
-def test_eigen_extremes():
-    lo, hi = eigen_extremes(np.diag([2.0, -1.0, 5.0]))
-    assert lo == -1.0 and hi == 5.0
 
 
 class TestProblem:

@@ -1,8 +1,14 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from advrisk.model import LinearInverseProblem, RngStream
+from advrisk.experiments import rotation_system
+from advrisk.kalman import kalman_estimator, simulate_rollouts
+from advrisk.model import LinearInverseProblem, RngStream, pair_sampler
 from advrisk.risk import (
+    _GEN_CHUNK,
+    _mc_columns,
     adversarial_risk_mc,
     ar_sr_gap_mc,
     astar_gap_bounds,
@@ -169,3 +175,34 @@ def test_with_epsilon_copies(rng):
     other = with_epsilon(prob, 1.5)
     assert other.epsilon == 1.5 and prob.epsilon == 0.5
     assert other.a_star is prob.a_star
+
+
+def _plain_case():
+    prob = make_problem([[1.0, 0.3, 0.0], [0.2, 0.8, 0.1]], eps=0.5)
+    return np.array([[0.9, 0.2, 0.1], [0.1, 0.7, 0.0]]), pair_sampler(prob)
+
+
+def _rollout_case():
+    system = rotation_system(0.95, horizon=3)
+    return 1.1 * kalman_estimator(system, 2), partial(simulate_rollouts, system, 2)
+
+
+_COLUMNS = ("sq", "gain", "value", "cross")
+
+
+@pytest.mark.parametrize("case", [_plain_case, _rollout_case], ids=["plain", "rollout"])
+@pytest.mark.parametrize("split", [1, 12_345, _GEN_CHUNK])
+def test_engine_split_invariance(case, split):
+    # one pass over more than a chunk equals, bit for bit, two passes split
+    # at an arbitrary base_index; value is sq + gain exactly
+    a, draw = case()
+    n = 40_000
+    assert n > _GEN_CHUNK
+    stream = RngStream(9, 3)
+    _, whole = _mc_columns(a, draw, n, stream, 0, 0.5, _COLUMNS)
+    _, head = _mc_columns(a, draw, split, stream, 0, 0.5, _COLUMNS)
+    _, tail = _mc_columns(a, draw, n - split, stream, split, 0.5, _COLUMNS)
+    for key in _COLUMNS:
+        assert np.array_equal(whole[key], np.concatenate([head[key], tail[key]])), key
+    assert np.array_equal(whole["value"], whole["sq"] + whole["gain"])
+    assert np.all(whole["gain"] > 0.0)

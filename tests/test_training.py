@@ -120,6 +120,18 @@ class TestTrain:
         with pytest.raises(ValueError, match="nonnegative"):
             TrainConfig(lam=-1.0)
 
+    def test_nan_lam_rejected(self):
+        with pytest.raises(ValueError, match="lam"):
+            TrainConfig(lam=math.nan)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon"):
+            TrainConfig(epsilon=eps)
+
+    def test_infinite_lam_is_pure_ar(self):
+        assert TrainConfig(lam=math.inf).pure_ar and not TrainConfig(lam=1e300).pure_ar
+
     def test_given_matrix_init(self, rng):
         prob = make_problem(rng.standard_normal((2, 2)))
         start = rng.standard_normal((2, 2))

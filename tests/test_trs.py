@@ -158,6 +158,15 @@ class TestWorstCasePerturbation:
         deltas, gains, lams, branches = worst_case_batch(np.eye(2), np.empty((0, 2)), 1.0)
         assert deltas.shape == (0, 2) and gains.shape == (0,)
 
+    def test_batch_shape_checked(self):
+        a = np.ones((2, 3))
+        with pytest.raises(ValueError, match=r"\(m, 2\)"):
+            worst_case_batch(a, np.ones(2), 1.0)
+        with pytest.raises(ValueError, match=r"\(m, 2\)"):
+            worst_case_batch(a, np.ones((4, 3)), 1.0)
+        # the single-vector entry point still reshapes its b
+        assert worst_case_perturbation(a, [[1.0], [2.0]], 1.0).delta.shape == (3,)
+
 
 @given(
     n=st.integers(1, 4),
