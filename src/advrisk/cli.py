@@ -62,10 +62,10 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except OSError:
-            raise
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"malformed config file {args.config}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object")
     kind = "kalman-bounds" if args.command == "kalman" else args.command
     if args.command == "experiment":
         kind = args.kind

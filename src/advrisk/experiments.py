@@ -34,7 +34,7 @@ from .risk import (
     standard_risk_closed,
 )
 from .training import TrainConfig, pareto_trace, train
-from .trs import BRANCH_DEGENERATE, BRANCH_EASY, BRANCH_HARD, worst_case_perturbation
+from .trs import worst_case_perturbation
 
 EXPERIMENT_KINDS = (
     "perturb",
@@ -46,8 +46,6 @@ EXPERIMENT_KINDS = (
     "fig-observability",
     "fig-kf-vs-adv",
 )
-
-_BRANCH_CODES = {BRANCH_EASY: 0, BRANCH_HARD: 1, BRANCH_DEGENERATE: 2}
 
 _MATRIX_STREAM = 11
 _MC_STREAM = 12
@@ -240,8 +238,6 @@ def _system_from_params(params: dict) -> LtiSystem:
         horizon = int(params.get("horizon", 5))
         return LtiSystem.from_matrices(a, c, sigma0, sigma_w, sigma_v, horizon)
     except (KeyError, IndexError, ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid system parameters: {exc}") from exc
 
 
@@ -310,7 +306,7 @@ def _run_perturb(config: ExperimentConfig) -> ResultTable:
     header = ["dual_lambda", "objective_gain", "branch_code", "delta_norm"] + [
         f"delta_{i}" for i in range(res.delta.size)
     ]
-    row = [res.dual_lambda, res.objective_gain, _BRANCH_CODES[res.branch], np.linalg.norm(res.delta)]
+    row = [res.dual_lambda, res.objective_gain, res.branch, np.linalg.norm(res.delta)]
     return ResultTable(header=header, rows=[row + list(res.delta)], metadata={})
 
 

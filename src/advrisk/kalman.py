@@ -481,7 +481,6 @@ class EstimatorBoundReport:
     gap_upper_general: float
     kalman_gap_lower: float | None
     kalman_gap_upper: float | None
-    regime: str
     assumption_isotropic: bool
 
 
@@ -496,17 +495,15 @@ def bound_report(
     upper = gap_upper_bound_general(l, system, k, epsilon)
     if at_nominal:
         kal_lower = kalman_gap_lower_bound(system, k, epsilon)
-        kal_upper, regime = kalman_gap_upper_bound(system, k, epsilon)
+        kal_upper = kalman_gap_upper_bound(system, k, epsilon)[0]
     else:
         kal_lower = kal_upper = None
-        _, regime = kalman_gap_upper_bound(system, k, epsilon)
     return EstimatorBoundReport(
         gap_lower_general=general,
         gap_lower_frobenius=frobenius,
         gap_upper_general=upper,
         kalman_gap_lower=kal_lower,
         kalman_gap_upper=kal_upper,
-        regime=regime,
         assumption_isotropic=detect_isotropy(system) is not None,
     )
 

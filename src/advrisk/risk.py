@@ -97,7 +97,9 @@ def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):
     out = {key: np.empty(n_samples) for key in want}
     for start in range(0, n_samples, _GEN_CHUNK):
         cnt = min(_GEN_CHUNK, n_samples - start)
-        inputs, targets = draw(cnt, stream, base_index + start)
+        # a 1-row matmul takes BLAS's matrix-vector path, which rounds unlike
+        # the same row in a larger call: draw and solve 2 rows, keep cnt
+        inputs, targets = draw(max(cnt, 2), stream, base_index + start)
         b = targets - inputs @ a.T
         cols = {"sq": (b * b).sum(axis=1)}
         if "gain" in out or "value" in out:
@@ -106,7 +108,7 @@ def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):
         if "cross" in out:
             cols["cross"] = np.linalg.norm(b @ a, axis=1)
         for key, col in out.items():
-            col[start : start + cnt] = cols[key]
+            col[start : start + cnt] = cols[key][:cnt]
     return fact, out
 
 

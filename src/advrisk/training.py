@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -98,6 +99,12 @@ class TrainConfig:
             raise ValueError("step_decay must lie in [0.5, 1]")
         if self.batch_size <= 0 or self.n_iters <= 0:
             raise ValueError("batch_size and n_iters must be positive")
+        c0 = self.step_c0
+        if c0 is not None and (isinstance(c0, bool) or not isinstance(c0, numbers.Real)
+                               or not (math.isfinite(c0) and c0 > 0)):
+            raise ValueError(f"step_c0 must be None or a finite number > 0, got {c0!r}")
+        if not (isinstance(self.init, np.ndarray) or self.init in ("nominal", "zeros")):
+            raise ValueError(f"init must be 'nominal', 'zeros' or an array, got {self.init!r}")
 
     @property
     def pure_ar(self) -> bool:

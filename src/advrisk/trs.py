@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-BRANCH_EASY = "easy"
-BRANCH_HARD = "hard"
-BRANCH_DEGENERATE = "degenerate"
+# Branch codes per solved row; the perturb CSV writes them as ``branch_code``.
+BRANCH_EASY = 0
+BRANCH_HARD = 1
+BRANCH_DEGENERATE = 2
 
 # Singular values within this relative distance of sigma_1 are treated as a
 # single top cluster; prevents catastrophic cancellation in 1/(s1^2 - si^2).
@@ -31,8 +32,6 @@ CLUSTER_RTOL = 1e-9
 HARD_MARGIN = 1e-9
 ROOT_RTOL = 1e-12
 MAX_ROOT_ITER = 200
-
-_BATCH_CHUNK = 65536
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +70,7 @@ class PerturbationResult:
     delta: np.ndarray
     dual_lambda: float
     objective_gain: float
-    branch: str
+    branch: int
 
 
 def svd_full(a) -> SvdFactorization:
@@ -85,10 +84,6 @@ def svd_full(a) -> SvdFactorization:
     return SvdFactorization(u=u, singular_values=s, v=vt.T)
 
 
-def _as_svd(a) -> SvdFactorization:
-    return a if isinstance(a, SvdFactorization) else svd_full(a)
-
-
 def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float) -> np.ndarray:
     """Vectorized root find for f(mu) = sum_i w_i / (mu + gaps_i)^2 = eps^2.
 
@@ -100,6 +95,8 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float) -> np.ndarray:
     Requires each row to satisfy f(0+) >= eps^2 (easy-case condition).
     Safeguarded Newton: f is convex and decreasing, so Newton from the left
     bracket converges monotonically; steps leaving the bracket bisect.
+    Raises ``np.linalg.LinAlgError`` if a row has not converged after
+    ``MAX_ROOT_ITER`` sweeps.
     """
     tgt = eps * eps
     wsum = w.sum(axis=1)
@@ -125,6 +122,10 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float) -> np.ndarray:
         inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
         step = np.where(inside, newton, 0.5 * (lo + hi))
         mu = np.where(active, step, mu)
+    else:
+        raise np.linalg.LinAlgError(
+            f"secular root did not converge in {MAX_ROOT_ITER} sweeps "
+            f"for {int(active.sum())} of {active.size} rows")
     return mu
 
 
@@ -140,6 +141,8 @@ def secular_root(weights, sigma_sqs, eps: float) -> float:
     ValueError
         If all weights are zero (the caller should have taken the
         degenerate or hard branch).
+    np.linalg.LinAlgError
+        If the root find does not converge in ``MAX_ROOT_ITER`` sweeps.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     if eps <= 0.0:
@@ -153,65 +156,6 @@ def secular_root(weights, sigma_sqs, eps: float) -> float:
     gaps = top - sq
     mu = _secular_mu(w[None, :], gaps, float(eps))[0]
     return top + float(mu)
-
-
-def _solve_batch(fact: SvdFactorization, b_batch: np.ndarray, eps: float):
-    """Core vectorized solve; returns (coords, deltas, lams, gains, hard_mask).
-
-    ``coords`` are the components of delta in the right singular basis
-    (first ``min(n, p)`` coordinates; the rest are always zero).
-    """
-    s = fact.singular_values
-    m = b_batch.shape[0]
-    r = s.size
-    n = fact.n
-    s1 = float(s[0]) if r else 0.0
-
-    deltas = np.zeros((m, n))
-    lams = np.full(m, s1 * s1)
-    gains = np.zeros(m)
-    if eps == 0.0 or s1 <= 0.0:
-        return None, deltas, lams, gains, None  # degenerate: delta = 0
-
-    bu = b_batch @ fact.u[:, :r]  # (m, r) components b'u_i
-    w = (bu * s) ** 2
-    top = s >= s1 - CLUSTER_RTOL * max(s1, 1.0)
-    gaps = np.where(top, 0.0, (s1 - s) * (s1 + s))
-    wsum = w.sum(axis=1)
-    atb = np.sqrt(wsum)  # ||A'b|| per row
-    w_top = w[:, top].sum(axis=1)
-    if (~top).any():
-        inv_sq = np.where(top, 0.0, 1.0 / np.where(gaps > 0.0, gaps, 1.0) ** 2)
-        s_low = w @ inv_sq
-    else:
-        s_low = np.zeros(m)
-
-    # Hard case: dual sticks at s1^2.  Requires the residual budget after the
-    # pseudoinverse component, and a numerically-zero top-cluster weight
-    # (otherwise stationarity at s1^2 is violated and the easy root exists).
-    hard = (s_low < eps * eps * (1.0 - HARD_MARGIN)) & (
-        np.sqrt(w_top) <= HARD_MARGIN * (s1 * s1 * eps + atb)
-    )
-
-    coords = np.zeros((m, r))
-    if hard.any():
-        coef = np.where(gaps > 0.0, -bu * s / np.where(gaps > 0.0, gaps, 1.0), 0.0)
-        extra = np.sqrt(np.maximum(eps * eps - s_low, 0.0))
-        j_top = int(np.argmax(top))  # deterministic direction: first top vector
-        ch = coef[hard]
-        ch[:, j_top] += extra[hard]
-        coords[hard] = ch
-    easy = ~hard
-    if easy.any():
-        mu = _secular_mu(w[easy], gaps, eps)
-        denom = mu[:, None] + gaps[None, :]
-        coords[easy] = np.where(denom > 0.0, -bu[easy] * s / np.where(denom > 0.0, denom, 1.0), 0.0)
-        lams[easy] = s1 * s1 + mu
-
-    # Objective evaluated in the singular basis: exact for the coordinates.
-    gains = (coords * coords) @ (s * s) - 2.0 * ((coords * bu) @ s)
-    deltas = coords @ fact.v[:, :r].T
-    return coords, deltas, lams, gains, hard
 
 
 def worst_case_batch(a, b_batch: np.ndarray, eps: float):
@@ -233,9 +177,10 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
         Optimal objective values (worst-case loss minus ``||b||^2``).
     lams : ndarray, shape (m,)
         Dual variables.
-    branches : ndarray of str, shape (m,)
+    branches : ndarray of int, shape (m,)
+        ``BRANCH_EASY``, ``BRANCH_HARD`` or ``BRANCH_DEGENERATE`` per row.
     """
-    fact = _as_svd(a)
+    fact = a if isinstance(a, SvdFactorization) else svd_full(a)
     b_batch = np.asarray(b_batch, dtype=float)
     if b_batch.ndim != 2 or b_batch.shape[1] != fact.p:
         raise ValueError(f"b must have shape (m, {fact.p}), got {b_batch.shape}")
@@ -243,20 +188,55 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
         raise ValueError("b has non-finite entries")
     if eps < 0.0 or not np.isfinite(eps):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
+    s = fact.singular_values
     m = b_batch.shape[0]
-    deltas = np.empty((m, fact.n))
-    gains = np.empty(m)
-    lams = np.empty(m)
-    branches = np.empty(m, dtype=object)
-    for start in range(0, m, _BATCH_CHUNK):
-        sl = slice(start, min(start + _BATCH_CHUNK, m))
-        _, d, l, g, hard = _solve_batch(fact, b_batch[sl], eps)
-        deltas[sl], lams[sl], gains[sl] = d, l, g
-        if hard is None:
-            branches[sl] = BRANCH_DEGENERATE
-        else:
-            branches[sl] = np.where(hard, BRANCH_HARD, BRANCH_EASY)
-    return deltas, gains, lams, branches
+    r = s.size
+    s1 = float(s[0]) if r else 0.0
+    lams = np.full(m, s1 * s1)
+    if eps == 0.0 or s1 <= 0.0:  # degenerate: delta = 0
+        return np.zeros((m, fact.n)), np.zeros(m), lams, np.full(m, BRANCH_DEGENERATE)
+
+    bu = b_batch @ fact.u[:, :r]  # (m, r) components b'u_i
+    w = (bu * s) ** 2
+    top = s >= s1 - CLUSTER_RTOL * max(s1, 1.0)
+    gaps = np.where(top, 0.0, (s1 - s) * (s1 + s))
+    wsum = w.sum(axis=1)
+    atb = np.sqrt(wsum)  # ||A'b|| per row
+    w_top = w[:, top].sum(axis=1)
+    if (~top).any():
+        inv_sq = np.where(top, 0.0, 1.0 / np.where(gaps > 0.0, gaps, 1.0) ** 2)
+        s_low = w @ inv_sq
+    else:
+        s_low = np.zeros(m)
+
+    # Hard case: dual sticks at s1^2.  Requires the residual budget after the
+    # pseudoinverse component, and a numerically-zero top-cluster weight
+    # (otherwise stationarity at s1^2 is violated and the easy root exists).
+    hard = (s_low < eps * eps * (1.0 - HARD_MARGIN)) & (
+        np.sqrt(w_top) <= HARD_MARGIN * (s1 * s1 * eps + atb)
+    )
+
+    # components of delta in the right singular basis (first r coordinates;
+    # the rest are always zero)
+    coords = np.zeros((m, r))
+    if hard.any():
+        coef = np.where(gaps > 0.0, -bu * s / np.where(gaps > 0.0, gaps, 1.0), 0.0)
+        extra = np.sqrt(np.maximum(eps * eps - s_low, 0.0))
+        j_top = int(np.argmax(top))  # deterministic direction: first top vector
+        ch = coef[hard]
+        ch[:, j_top] += extra[hard]
+        coords[hard] = ch
+    easy = ~hard
+    if easy.any():
+        mu = _secular_mu(w[easy], gaps, eps)
+        denom = mu[:, None] + gaps[None, :]
+        coords[easy] = np.where(denom > 0.0, -bu[easy] * s / np.where(denom > 0.0, denom, 1.0), 0.0)
+        lams[easy] = s1 * s1 + mu
+
+    # Objective evaluated in the singular basis: exact for the coordinates.
+    gains = (coords * coords) @ (s * s) - 2.0 * ((coords * bu) @ s)
+    deltas = coords @ fact.v[:, :r].T
+    return deltas, gains, lams, np.where(hard, BRANCH_HARD, BRANCH_EASY)
 
 
 def worst_case_perturbation(a, b, eps: float) -> PerturbationResult:
@@ -275,5 +255,5 @@ def worst_case_perturbation(a, b, eps: float) -> PerturbationResult:
         delta=deltas[0],
         dual_lambda=float(lams[0]),
         objective_gain=float(gains[0]),
-        branch=str(branches[0]),
+        branch=int(branches[0]),
     )

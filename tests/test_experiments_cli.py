@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from advrisk import trs
 from advrisk.cli import main
 from advrisk.experiments import (
     ConfigError,
@@ -231,6 +232,29 @@ class TestCli:
         path.write_text(json.dumps({"params": {"alphas": [0.95], "ks": [0],
                                                "epsilon": float("nan")}}))
         assert main(["experiment", "fig-observability", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("train", [
+        {"step_c0": "abc"}, {"step_c0": float("nan")}, {"step_c0": float("inf")},
+        {"step_c0": -1.0}, {"init": 5},
+    ], ids=["c0-str", "c0-nan", "c0-inf", "c0-negative", "init-int"])
+    def test_malformed_training_block_is_config_error(self, tmp_path, train):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"a_star": [[1.0]], "train": train}}))
+        assert main(["pareto", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("content", [b"[1, 2]", b'"risk"', b'{"seed": "\xff"}'],
+                             ids=["array", "string", "not-utf8"])
+    def test_config_file_not_an_object_is_config_error(self, tmp_path, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert main(["risk", "--config", str(path)]) == 2
+
+    def test_unconverged_root_is_numerical_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(trs, "MAX_ROOT_ITER", 1)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"a": [[2.0, 0.0], [0.0, 1.0]], "b": [3.0, 1.0],
+                                               "epsilon": 0.5}}))
+        assert main(["perturb", "--config", str(path)]) == 3
 
     def test_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -191,7 +191,7 @@ _COLUMNS = ("sq", "gain", "value", "cross")
 
 
 @pytest.mark.parametrize("case", [_plain_case, _rollout_case], ids=["plain", "rollout"])
-@pytest.mark.parametrize("split", [1, 12_345, _GEN_CHUNK])
+@pytest.mark.parametrize("split", [1, 12_345, _GEN_CHUNK, 39_999])  # 39_999: a 1-row tail
 def test_engine_split_invariance(case, split):
     # one pass over more than a chunk equals, bit for bit, two passes split
     # at an arbitrary base_index; value is sq + gain exactly

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from advrisk import trs
 from advrisk.trs import (
     BRANCH_DEGENERATE,
     BRANCH_EASY,
@@ -157,6 +158,21 @@ class TestWorstCasePerturbation:
     def test_empty_batch(self, rng):
         deltas, gains, lams, branches = worst_case_batch(np.eye(2), np.empty((0, 2)), 1.0)
         assert deltas.shape == (0, 2) and gains.shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (16, 16), (2, 6)])
+    def test_batch_past_65536_rows_matches_split_calls(self, rng, shape):
+        a = rng.standard_normal(shape)
+        bs = rng.standard_normal((70_000, shape[0]))
+        whole = worst_case_batch(a, bs, 0.7)
+        head = worst_case_batch(a, bs[:65_536], 0.7)
+        tail = worst_case_batch(a, bs[65_536:], 0.7)
+        for w, h, t in zip(whole, head, tail):
+            assert np.array_equal(w, np.concatenate([h, t]))
+
+    def test_unconverged_root_raises(self, rng, monkeypatch):
+        monkeypatch.setattr(trs, "MAX_ROOT_ITER", 1)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            worst_case_batch(rng.standard_normal((3, 3)), rng.standard_normal((5, 3)), 0.5)
 
     def test_batch_shape_checked(self):
         a = np.ones((2, 3))
