@@ -5,10 +5,13 @@ The set is the three quick figures (sizes as in ``reproduce_figures.py
 --quick``) plus one config each of ``risk``, ``bounds`` (at a = A* and at
 a != A*), ``kalman-bounds``, ``pareto`` and ``perturb``.  Running it before
 and after a change that must not alter any number gives two tables that
-should match line for line.
+should match line for line.  With ``--against TABLE`` (the output of an
+earlier run, saved to a file) it also compares the two tables, names every
+file whose line differs on stderr, and exits 1 if any does.
 
 Usage:
     python scripts/csv_digest.py OUTDIR
+    python scripts/csv_digest.py OUTDIR --against TABLE
 """
 
 import argparse
@@ -52,18 +55,38 @@ def configs(outdir: pathlib.Path) -> list[ExperimentConfig]:
     return out
 
 
+def read_table(path) -> dict[str, str]:
+    """``{file name: sha256}`` from a table printed by this script."""
+    table = {}
+    for line in pathlib.Path(path).read_text().splitlines():
+        if line.strip():
+            digest, name = line.split()
+            table[name] = digest
+    return table
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("outdir")
+    parser.add_argument("--against", metavar="TABLE",
+                        help="sha256 table of an earlier run to compare with")
     args = parser.parse_args()
 
+    expected = read_table(args.against) if args.against else None
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    differ = []
     for config in configs(outdir):
         run_experiment(config)
         path = pathlib.Path(config.output_path)
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.name}")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.name}")
+        if expected is not None and expected.get(path.name) != digest:
+            differ.append(path.name)
+    if differ:
+        print(f"differs from {args.against}: {', '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +19,8 @@ import numpy as np
 from . import __version__
 from .kalman import (
     LtiSystem,
+    _bound_report,
     as_estimation_problem,
-    bound_report,
     estimator_ar_mc,
     estimator_sr_closed,
     kalman_estimator,
@@ -124,6 +125,38 @@ class ExperimentConfig:
         }
         canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _number(value, name: str, integer: bool = False,
+            low: float = -math.inf, high: float = math.inf):
+    """A config number: a finite float, or an ``int`` when ``integer``, in
+    ``[low, high]``.
+
+    Raises ``ConfigError`` for anything else (strings, bools, NaN, 2.7 for
+    an integer), so a config mistake is never truncated or reported later
+    as a numerical failure.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    if not isinstance(value, numbers.Integral):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+        if integer and not float(value).is_integer():
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ConfigError(f"{name} must lie in [{low}, {high}], got {value!r}")
+    try:
+        return int(value) if integer else float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ConfigError(f"{name} is too large for a float") from exc
+
+
+def _numbers(params: dict, name: str, default, **limits) -> list:
+    """``params[name]`` (or ``default``) as a list of ``_number`` values."""
+    values = params.get(name, default)
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{name} must be a list, got {values!r}")
+    return [_number(v, name, **limits) for v in values]
 
 
 def default_lambda_grid() -> list[float]:
@@ -235,7 +268,7 @@ def _system_from_params(params: dict) -> LtiSystem:
         sigma0 = np.asarray(params.get("sigma0", np.eye(n).tolist()), dtype=float)
         sigma_w = np.asarray(params.get("sigma_w", (0.1 * np.eye(n)).tolist()), dtype=float)
         sigma_v = np.asarray(params.get("sigma_v", (0.1 * np.eye(p)).tolist()), dtype=float)
-        horizon = int(params.get("horizon", 5))
+        horizon = _number(params.get("horizon", 5), "horizon", integer=True, low=0)
         return LtiSystem.from_matrices(a, c, sigma0, sigma_w, sigma_v, horizon)
     except (KeyError, IndexError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid system parameters: {exc}") from exc
@@ -364,7 +397,7 @@ def _kalman_row(system: LtiSystem, k: int, eps: float, n_samples: int, stream, s
     nominal = kalman_estimator(system, k)
     sr = estimator_sr_closed(nominal, system, k)
     ar = estimator_ar_mc(nominal, system, k, eps, n_samples, stream)
-    report = bound_report(system, k, eps)
+    report = _bound_report(system, k, eps, nominal, gram)
     return [
         system_id, sr, ar.mean, ar.std_error,
         report.gap_lower_general, report.gap_lower_frobenius, report.kalman_gap_lower,
@@ -383,13 +416,16 @@ _KALMAN_HEADER = [
 
 def _run_kalman_bounds(config: ExperimentConfig) -> ResultTable:
     params = config.params
-    k = int(params.get("k", params.get("horizon", 5)))
-    eps = float(params.get("epsilon", 0.5))
+    horizon = _number(params.get("horizon", 5), "horizon", integer=True, low=0)
+    k = _number(params.get("k", horizon), "k", integer=True, low=0)
+    eps = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
     stream = RngStream(config.seed, _MC_STREAM)
     if "alphas" in params:
-        systems = [rotation_system(float(al), horizon=int(params.get("horizon", 5)))
-                   for al in params["alphas"]]
+        systems = [rotation_system(al, horizon=horizon)
+                   for al in _numbers(params, "alphas", None)]
     elif "systems" in params:
+        if not isinstance(params["systems"], list):
+            raise ConfigError("systems must be a list of system objects")
         systems = [_system_from_params(s) for s in params["systems"]]
     else:
         systems = [_system_from_params(params)]
@@ -402,9 +438,9 @@ def _run_kalman_bounds(config: ExperimentConfig) -> ResultTable:
 
 def _run_fig_condition(config: ExperimentConfig) -> ResultTable:
     params = config.params
-    kappas = [float(v) for v in params.get("kappas", [1.0, 3.0, 10.0])]
-    n = int(params.get("n", 4))
-    eps = float(params.get("epsilon", 0.5))
+    kappas = _numbers(params, "kappas", [1.0, 3.0, 10.0], low=1.0)
+    n = _number(params.get("n", 4), "n", integer=True, low=1)
+    eps = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
     rows = []
     for kappa in kappas:
         a_star = generate_conditioned_matrix(n, kappa, RngStream(config.seed, _MATRIX_STREAM))
@@ -421,10 +457,10 @@ def _run_fig_condition(config: ExperimentConfig) -> ResultTable:
 
 def _run_fig_observability(config: ExperimentConfig) -> ResultTable:
     params = config.params
-    alphas = [float(v) for v in params.get("alphas", [0.95, 0.98, 0.99])]
-    horizon = int(params.get("horizon", 5))
-    ks = [int(v) for v in params.get("ks", [0, horizon])]
-    eps = float(params.get("epsilon", 0.5))
+    alphas = _numbers(params, "alphas", [0.95, 0.98, 0.99])
+    horizon = _number(params.get("horizon", 5), "horizon", integer=True, low=0)
+    ks = _numbers(params, "ks", [0, horizon], integer=True, low=0, high=horizon)
+    eps = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
     rows = []
     for alpha in alphas:
         system = rotation_system(alpha, horizon=horizon)
@@ -449,13 +485,13 @@ def _run_fig_observability(config: ExperimentConfig) -> ResultTable:
 def _run_fig_kf_vs_adv(config: ExperimentConfig) -> ResultTable:
     params = config.params
     if "rhos" in params:
-        rhos = [float(v) for v in params["rhos"]]
+        rhos = _numbers(params, "rhos", None)
     else:
-        count = int(params.get("n_rhos", 12))
+        count = _number(params.get("n_rhos", 12), "n_rhos", integer=True, low=1)
         rhos = [float(v) for v in np.geomspace(0.1, np.sqrt(10.0), count)]
-    horizon = int(params.get("horizon", 5))
-    k = int(params.get("k", 0))
-    eps = float(params.get("epsilon", 0.5))
+    horizon = _number(params.get("horizon", 5), "horizon", integer=True, low=0)
+    k = _number(params.get("k", 0), "k", integer=True, low=0, high=horizon)
+    eps = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
     rows = []
     for rho in rhos:
         system = shear_system(rho, horizon=horizon)

@@ -14,14 +14,14 @@ the gramian's spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
 from .model import (
     CovarianceSpec,
     RngStream,
-    cholesky_factor,
+    frozen_array,
     validate_covariance,
 )
 from .risk import RiskEstimate, isotropic_scale, mc_mean
@@ -40,7 +40,8 @@ class LtiSystem:
     """LTI tuple ``(A, C, Sigma_0, Sigma_w, Sigma_v, N)``.
 
     ``sigma_w`` is the per-step process noise covariance (n x n) and
-    ``sigma_v`` the per-step measurement noise covariance (p x p).
+    ``sigma_v`` the per-step measurement noise covariance (p x p).  ``a``
+    and ``c`` are read-only copies of the inputs.
     """
 
     a: np.ndarray
@@ -51,8 +52,8 @@ class LtiSystem:
     horizon: int
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        c = np.asarray(self.c, dtype=float)
+        a = frozen_array(self.a)
+        c = frozen_array(self.c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -88,6 +89,11 @@ class LtiSystem:
     @property
     def p(self) -> int:
         return self.c.shape[0]
+
+    @cached_property
+    def _rollouts(self) -> dict[int, _RolloutModel]:
+        """``simulate_rollouts`` constants by estimation index ``k``."""
+        return {}
 
 
 def detect_isotropy(system: LtiSystem, atol: float = ISOTROPY_ATOL) -> float | None:
@@ -126,11 +132,15 @@ def _observability_matrix(c: np.ndarray, pows: list[np.ndarray]) -> np.ndarray:
     return np.vstack([c @ pw for pw in pows])
 
 
+def _check_k(system: LtiSystem, k: int) -> None:
+    if not 0 <= k <= system.horizon:
+        raise ValueError(f"k must lie in [0, {system.horizon}], got {k}")
+
+
 def build_stacked(system: LtiSystem, k: int) -> StackedModel:
     """Observability matrix, noise Toeplitz, and state-impulse blocks."""
+    _check_k(system, k)
     horizon = system.horizon
-    if not 0 <= k <= horizon:
-        raise ValueError(f"k must lie in [0, {horizon}], got {k}")
     n, p = system.n, system.p
     pows = _powers(system.a, horizon)
     obs = _observability_matrix(system.c, pows)
@@ -282,6 +292,34 @@ def residual_covariance(l, system: LtiSystem, k: int) -> CovarianceSpec:
     return validate_covariance(term0 + term_w + term_v, name="residual covariance")
 
 
+@dataclass(frozen=True, eq=False)
+class _RolloutModel:
+    """Per-``(system, k)`` constants of ``simulate_rollouts``: the stacked
+    model and the colouring factors ``L0``, ``kron(I_N, Lw)`` (None when
+    ``N = 0``) and ``kron(I_{N+1}, Lv)``."""
+
+    stacked: StackedModel
+    l0: np.ndarray
+    lw: np.ndarray | None
+    lv: np.ndarray
+
+
+def _rollout_model(system: LtiSystem, k: int) -> _RolloutModel:
+    """The rollout constants of ``(system, k)``, built on first use and kept
+    on the system, whose arrays are read-only."""
+    model = system._rollouts.get(k)
+    if model is None:
+        horizon = system.horizon
+        model = _RolloutModel(
+            stacked=build_stacked(system, k),
+            l0=system.sigma0.cholesky,
+            lw=np.kron(np.eye(horizon), system.sigma_w.cholesky) if horizon > 0 else None,
+            lv=np.kron(np.eye(horizon + 1), system.sigma_v.cholesky),
+        )
+        system._rollouts[k] = model
+    return model
+
+
 def simulate_rollouts(
     system: LtiSystem,
     k: int,
@@ -294,19 +332,17 @@ def simulate_rollouts(
     Row ``i`` is generated from the counter block of rollout
     ``base_index + i``; draws are shard-invariant.
     """
-    stacked = build_stacked(system, k)
+    model = _rollout_model(system, k)
+    stacked = model.stacked
     n, p, horizon = system.n, system.p, system.horizon
     width = n + n * horizon + p * (horizon + 1)
     z = stream.normal_block(base_index, count, width)
-    l0 = cholesky_factor(system.sigma0)
-    x0 = z[:, :n] @ l0.T
+    x0 = z[:, :n] @ model.l0.T
     if horizon > 0:
-        lw = np.kron(np.eye(horizon), cholesky_factor(system.sigma_w))
-        w = z[:, n : n + n * horizon] @ lw.T
+        w = z[:, n : n + n * horizon] @ model.lw.T
     else:
         w = np.zeros((count, 0))
-    lv = np.kron(np.eye(horizon + 1), cholesky_factor(system.sigma_v))
-    v = z[:, n + n * horizon :] @ lv.T
+    v = z[:, n + n * horizon :] @ model.lv.T
     ys = x0 @ stacked.obs.T + w @ stacked.toeplitz.T + v
     xk = x0 @ stacked.a_pow_k.T + w @ stacked.gamma_k.T
     return ys, xk
@@ -420,9 +456,11 @@ def kalman_gap_lower_bound(system: LtiSystem, k: int, epsilon: float) -> float:
     covariances with scaled-orthogonal dynamics it reduces to
     ``rho^(2k) sigma_0^2 + r_factor(rho, k) sigma_w^2``.
     """
-    if not 0 <= k <= system.horizon:
-        raise ValueError(f"k must lie in [0, {system.horizon}], got {k}")
-    gram = observability_gramian(system)
+    _check_k(system, k)
+    return _kalman_gap_lower(system, k, epsilon, observability_gramian(system))
+
+
+def _kalman_gap_lower(system: LtiSystem, k: int, epsilon: float, gram: GramianSummary) -> float:
     sv_min = float(np.linalg.eigvalsh(system.sigma_v.matrix)[0])
     sv_norm = float(np.linalg.eigvalsh(system.sigma_v.matrix)[-1])
     _, bar_max = _sigma_bar_extremes(system)
@@ -443,9 +481,13 @@ def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[f
     form applies.  The bound decreases as ``lambda_min`` of the gramian
     grows.
     """
-    if not 0 <= k <= system.horizon:
-        raise ValueError(f"k must lie in [0, {system.horizon}], got {k}")
-    gram = observability_gramian(system)
+    _check_k(system, k)
+    return _kalman_gap_upper(system, k, epsilon, observability_gramian(system))
+
+
+def _kalman_gap_upper(
+    system: LtiSystem, k: int, epsilon: float, gram: GramianSummary
+) -> tuple[float, str]:
     bar_min, bar_max = _sigma_bar_extremes(system)
     sv_min = float(np.linalg.eigvalsh(system.sigma_v.matrix)[0])
     sv_norm = float(np.linalg.eigvalsh(system.sigma_v.matrix)[-1])
@@ -489,13 +531,22 @@ def bound_report(
 ) -> EstimatorBoundReport:
     """Assemble every applicable bound; ``l`` defaults to the nominal
     estimator, enabling the system-level bounds."""
-    at_nominal = l is None
-    l = kalman_estimator(system, k) if at_nominal else np.asarray(l, dtype=float)
+    if l is None:
+        return _bound_report(system, k, epsilon, kalman_estimator(system, k),
+                             observability_gramian(system))
+    return _bound_report(system, k, epsilon, np.asarray(l, dtype=float), None)
+
+
+def _bound_report(
+    system: LtiSystem, k: int, epsilon: float, l: np.ndarray, gram: GramianSummary | None
+) -> EstimatorBoundReport:
+    """``bound_report`` for a built estimator.  ``gram`` is the system's
+    gramian when ``l`` is the nominal estimator, and None otherwise."""
     general, frobenius = gap_lower_bounds(l, system, k, epsilon)
     upper = gap_upper_bound_general(l, system, k, epsilon)
-    if at_nominal:
-        kal_lower = kalman_gap_lower_bound(system, k, epsilon)
-        kal_upper = kalman_gap_upper_bound(system, k, epsilon)[0]
+    if gram is not None:
+        kal_lower = _kalman_gap_lower(system, k, epsilon, gram)
+        kal_upper = _kalman_gap_upper(system, k, epsilon, gram)[0]
     else:
         kal_lower = kal_upper = None
     return EstimatorBoundReport(

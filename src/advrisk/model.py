@@ -4,11 +4,16 @@ Everything downstream (risk estimation, training, state estimation) consumes
 the types defined here.  Sampling is counter-based: every sample index owns a
 fixed block of the underlying Philox counter space, so regenerating any slice
 of a batch -- in any sharding -- is bit-identical.
+
+Model arrays are read-only copies, so constants derived from them (Cholesky
+factors here, stacked Kalman matrices in ``kalman``) are computed once per
+object and reused on every draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -27,6 +32,20 @@ class TrainingDivergedError(RuntimeError):
     """Raised when an iterative numerical procedure leaves its stable region."""
 
 
+def frozen_array(values) -> np.ndarray:
+    """Read-only float array holding ``values``.
+
+    Copies unless ``values`` already is a read-only float array that owns its
+    data, so the caller's array stays writable and is never aliased, while
+    copies of a model (``dataclasses.replace``) share its arrays.
+    """
+    arr = np.asarray(values, dtype=float)
+    if arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.copy()
+        arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class CovarianceSpec:
     """A validated symmetric positive semidefinite matrix.
@@ -34,7 +53,7 @@ class CovarianceSpec:
     Attributes
     ----------
     matrix : ndarray, shape (d, d)
-        Symmetrized copy of the input.
+        Symmetrized read-only copy of the input.
     strict : bool
         True if the matrix was validated as strictly positive definite.
     """
@@ -42,9 +61,19 @@ class CovarianceSpec:
     matrix: np.ndarray
     strict: bool = False
 
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", frozen_array(self.matrix))
+
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """``cholesky_factor(self)``, computed on first use and kept (read-only)."""
+        low = cholesky_factor(self)
+        low.flags.writeable = False
+        return low
 
 
 def validate_covariance(m, strict: bool = False, name: str = "covariance") -> CovarianceSpec:
@@ -109,7 +138,7 @@ class LinearInverseProblem:
     epsilon: float
 
     def __post_init__(self):
-        a = np.asarray(self.a_star, dtype=float)
+        a = frozen_array(self.a_star)
         object.__setattr__(self, "a_star", a)
         if a.ndim != 2:
             raise ValueError(f"a_star must be a matrix, got shape {a.shape}")
@@ -149,6 +178,12 @@ class RngStream:
     ``i`` owns the Philox counter blocks ``[i * blocks_per_sample,
     (i + 1) * blocks_per_sample)``, so draws are reproducible regardless of
     how a batch is split across calls or worker shards.
+
+    An instance seeds one Philox generator on first use and keeps it: each
+    draw resets it to its seeded state and advances it to the first block,
+    which gives the same bits as seeding afresh.  Do not share one instance
+    across threads; equal-valued instances have their own generators and
+    are independent of each other.
     """
 
     seed: int
@@ -158,9 +193,11 @@ class RngStream:
         """Derived stream with a different id on the same seed."""
         return RngStream(seed=self.seed, stream_id=stream_id)
 
-    def _bit_generator(self) -> Philox:
-        ss = SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,))
-        return Philox(seed=ss)
+    @cached_property
+    def _seeded(self) -> tuple[Generator, dict]:
+        """The kept generator and the state it was seeded with."""
+        bg = Philox(seed=SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,)))
+        return Generator(bg), bg.state
 
     def uniform_block(self, base_index: int, count: int, width: int) -> np.ndarray:
         """``(count, width)`` uniforms; row ``i`` belongs to sample ``base_index + i``."""
@@ -169,10 +206,12 @@ class RngStream:
         if count == 0:
             return np.empty((0, width))
         blocks = -(-width // _WORDS_PER_BLOCK)
-        bg = self._bit_generator()
+        gen, seeded = self._seeded
+        bg = gen.bit_generator
+        bg.state = seeded
         if base_index:
             bg.advance(base_index * blocks)
-        u = Generator(bg).random((count, blocks * _WORDS_PER_BLOCK))
+        u = gen.random((count, blocks * _WORDS_PER_BLOCK))
         return u[:, :width]
 
     def normal_block(self, base_index: int, count: int, width: int) -> np.ndarray:
@@ -216,8 +255,8 @@ def sample_batch(
     if count < 0:
         raise ValueError("count must be nonnegative")
     n, p = problem.n, problem.p
-    lx = cholesky_factor(problem.sigma_x)
-    lw = cholesky_factor(problem.sigma_w)
+    lx = problem.sigma_x.cholesky
+    lw = problem.sigma_w.cholesky
     z = stream.normal_block(base_index, count, n + p)
     xs = z[:, :n] @ lx.T
     ws = z[:, n:] @ lw.T

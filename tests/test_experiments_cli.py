@@ -256,6 +256,41 @@ class TestCli:
                                                "epsilon": 0.5}}))
         assert main(["perturb", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("command, params", [
+        ("kalman", {"alphas": [0.95], "k": 2.7}),
+        ("kalman", {"alphas": [0.95], "k": "abc"}),
+        ("kalman", {"alphas": [0.95], "horizon": -1}),
+        ("kalman", {"alphas": [0.95], "epsilon": -1.0}),
+        ("kalman", {"alphas": [0.95], "epsilon": float("nan")}),
+        ("kalman", {"alphas": [0.95, "x"]}),
+        ("kalman", {"systems": 5}),
+        ("kalman", {"a": [[1.0]], "c": [[1.0]], "horizon": 2.5}),
+        ("fig-condition", {"kappas": [0.5]}),
+        ("fig-condition", {"kappas": 10.0}),
+        ("fig-condition", {"n": 2.5}),
+        ("fig-observability", {"ks": [9]}),
+        ("fig-observability", {"alphas": [float("inf")]}),
+        ("fig-kf-vs-adv", {"k": 6, "horizon": 5}),
+        ("fig-kf-vs-adv", {"n_rhos": 0}),
+        ("fig-kf-vs-adv", {"rhos": [float("nan")]}),
+    ], ids=["k-fraction", "k-string", "horizon-negative", "epsilon-negative", "epsilon-nan",
+            "alpha-string", "systems-number", "system-horizon-fraction", "kappa-below-one",
+            "kappas-scalar", "n-fraction", "ks-past-horizon", "alpha-inf", "k-past-horizon",
+            "n-rhos-zero", "rho-nan"])
+    def test_bad_figure_and_kalman_params_are_config_errors(self, tmp_path, command, params):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": params, "n_samples": 100}))
+        argv = [command] if command == "kalman" else ["experiment", command]
+        assert main(argv + ["--config", str(path)]) == 2
+
+    def test_integral_float_params_accepted(self):
+        def rows(params):
+            config = ExperimentConfig(kind="kalman-bounds", n_samples=200, params=params)
+            return run_experiment(config).rows
+
+        assert rows({"alphas": [0.95], "k": 3.0, "horizon": 4.0}) == rows(
+            {"alphas": [0.95], "k": 3, "horizon": 4})
+
     def test_flag_overrides(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

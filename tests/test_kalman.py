@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from advrisk import kalman, model
 from advrisk.kalman import (
     LtiSystem,
     as_estimation_problem,
@@ -23,8 +24,9 @@ from advrisk.kalman import (
     residual_covariance,
     simulate_rollouts,
 )
-from advrisk.experiments import rotation_system
+from advrisk.experiments import rotation_system, shear_system
 from advrisk.model import RngStream
+from advrisk.training import TrainConfig, train
 from conftest import random_spd
 
 
@@ -372,3 +374,49 @@ class TestEstimationAdapter:
         xs, ys = adapter.draw(16, RngStream(31), 0)
         ys2, xk2 = simulate_rollouts(system, 2, 16, RngStream(31), 0)
         assert np.array_equal(xs, ys2) and np.array_equal(ys, xk2)
+
+
+class TestKeptConstants:
+    def test_system_matrices_are_read_only_copies(self):
+        a = np.array([[1.0, 0.5], [0.0, 1.0]])
+        c = np.array([[1.0, 0.0]])
+        system = make_system(a, c)
+        for arr in (system.a, system.c, system.sigma0.matrix):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 3.0
+        a[0, 0] = c[0, 0] = 2.0  # the caller's arrays stay writable and are not aliased
+        assert system.a[0, 0] == 1.0 and system.c[0, 0] == 1.0
+
+    @pytest.mark.parametrize("horizon", [0, 3])
+    def test_repeated_rollouts_match_fresh_system(self, horizon):
+        def build():
+            return make_system([[0.9, 0.4], [-0.2, 1.0]], [[1.0, 0.5]],
+                               sigma0=[[1.0, 0.3], [0.3, 0.8]], sigma_w=[[0.1, 0.02], [0.02, 0.2]],
+                               horizon=horizon)
+
+        kept, stream = build(), RngStream(4, 9)
+        for k, base in ((0, 0), (min(2, horizon), 16), (0, 16), (horizon, 3), (0, 0)):
+            got = simulate_rollouts(kept, k, 16, stream, base)
+            want = simulate_rollouts(build(), k, 16, RngStream(4, 9), base)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_training_builds_constants_once(self, monkeypatch):
+        calls = {"build_stacked": 0, "cholesky_factor": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(kalman, "build_stacked")
+        counted(model, "cholesky_factor")
+        adapter = as_estimation_problem(shear_system(0.5), 0)
+        train(adapter, TrainConfig(lam=float("inf"), epsilon=0.5, n_iters=200, seed=0))
+        # one stacked model for the MMSE solve and one kept for the rollouts;
+        # one factor per covariance; none per SGD step
+        assert calls["build_stacked"] <= 2
+        assert calls["cholesky_factor"] <= 3

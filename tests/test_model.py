@@ -1,7 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from numpy.random import Generator, Philox, SeedSequence
+from scipy.special import ndtri
 
 from advrisk.model import (
     LinearInverseProblem,
@@ -134,3 +138,75 @@ class TestRngStream:
     def test_child(self):
         s = RngStream(5, 1)
         assert s.child(8) == RngStream(5, 8)
+
+
+def _reference_normals(seed, stream_id, base_index, count, width):
+    """Normals of ``RngStream(seed, stream_id).normal_block`` from a freshly
+    seeded Philox, advanced to the first sample's counter block."""
+    blocks = -(-width // 4)
+    bg = Philox(SeedSequence(entropy=seed, spawn_key=(stream_id,)))
+    bg.advance(base_index * blocks)
+    u = Generator(bg).random((count, blocks * 4))[:, :width]
+    return ndtri(np.clip(u, 2.0**-54, 1.0 - 2.0**-54))
+
+
+class TestKeptGenerator:
+    def test_interleaved_streams_match_fresh_seeding(self):
+        # Two streams on one seed, one of them read at shuffled offsets: each
+        # draw must equal a generator seeded afresh for it.
+        first, second = RngStream(21, 3), RngStream(21, 4)
+        for base in (0, 40, 7, 0, 300, 7, 1):
+            for stream in (first, second):
+                got = stream.normal_block(base, 5, 6)
+                want = _reference_normals(21, stream.stream_id, base, 5, 6)
+                assert np.array_equal(got, want)
+        assert np.array_equal(first.normal_block(0, 3, 2), _reference_normals(21, 3, 0, 3, 2))
+
+    def test_equal_instances_are_independent(self):
+        a, b = RngStream(8, 1), RngStream(8, 1)
+        assert a == b
+        a.normal_block(500, 10, 3)
+        assert np.array_equal(b.normal_block(0, 4, 3), _reference_normals(8, 1, 0, 4, 3))
+        assert np.array_equal(a.normal_block(0, 4, 3), b.normal_block(0, 4, 3))
+
+
+class TestReadOnlyArrays:
+    def test_covariance_matrix_is_read_only_copy(self):
+        m = np.diag([2.0, 1.0])
+        spec = validate_covariance(m, strict=True)
+        with pytest.raises(ValueError, match="read-only"):
+            spec.matrix[0, 0] = 5.0
+        m[0, 0] = 7.0  # the caller's array stays writable and is not aliased
+        assert spec.matrix[0, 0] == 2.0
+
+    def test_cholesky_cached_and_read_only(self):
+        spec = validate_covariance([[2.0, 0.3], [0.3, 1.0]], strict=True)
+        low = spec.cholesky
+        assert low is spec.cholesky
+        assert np.array_equal(low, cholesky_factor(spec))
+        with pytest.raises(ValueError, match="read-only"):
+            low[0, 0] = 0.0
+
+    def test_a_star_is_read_only_copy(self):
+        a_star = np.array([[1.0, 0.3], [0.0, 0.7]])
+        problem = LinearInverseProblem.from_matrices(a_star, np.eye(2), 0.1 * np.eye(2), 0.5)
+        with pytest.raises(ValueError, match="read-only"):
+            problem.a_star[0, 0] = 0.0
+        a_star[0, 0] = 9.0
+        assert problem.a_star[0, 0] == 1.0
+        # copies with another budget share the frozen arrays
+        assert dataclasses.replace(problem, epsilon=0.1).a_star is problem.a_star
+
+
+def test_repeated_sample_batch_matches_fresh_problem():
+    def build():
+        return LinearInverseProblem.from_matrices(
+            [[1.0, 0.3, 0.0], [0.2, 0.7, 0.1]], [[1.0, 0.2, 0.0], [0.2, 0.8, 0.1], [0.0, 0.1, 0.5]],
+            [[0.1, 0.02], [0.02, 0.3]], 0.5)
+
+    kept, stream = build(), RngStream(6, 2)
+    for base in (0, 32, 64, 0, 5):
+        got = sample_batch(kept, 32, stream, base)
+        want = sample_batch(build(), 32, RngStream(6, 2), base)
+        for name in ("xs", "ws", "ys"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
