@@ -3,7 +3,9 @@
 
 The set is the three quick figures (sizes as in ``reproduce_figures.py
 --quick``) plus one config each of ``risk``, ``bounds`` (at a = A* and at
-a != A*), ``kalman-bounds``, ``pareto`` and ``perturb``.  Running it before
+a != A*), ``pareto`` and ``perturb``, ``kalman-bounds`` at horizon 5 and at
+horizon 0 (no process noise in the stacked model), and a ``fig-kf-vs-adv``
+that trains a smoother at an interior ``k < N``.  Running it before
 and after a change that must not alter any number gives two tables that
 should match line for line.  With ``--against TABLE`` (the output of an
 earlier run, saved to a file) it also compares the two tables, names every
@@ -37,6 +39,12 @@ EXTRA = {
     "kalman_bounds": dict(kind="kalman-bounds", n_samples=40_000,
                           params={"alphas": [0.95, 0.99], "k": 3, "horizon": 5,
                                   "epsilon": 0.5}),
+    "kalman_bounds_h0": dict(kind="kalman-bounds", n_samples=40_000,
+                             params={"alphas": [0.95, 0.99], "k": 0, "horizon": 0,
+                                     "epsilon": 0.5}),
+    "kf_vs_adv_smoother": dict(kind="fig-kf-vs-adv", n_samples=40_000,
+                               params={"rhos": [0.3, 1.5], "k": 1, "horizon": 3, "epsilon": 0.5,
+                                       "train": {"n_iters": 300, "batch_size": 16}}),
     "pareto": dict(kind="pareto", n_samples=5_000, lambda_grid=[0.0, 0.1, 1.0, float("inf")],
                    params={"a_star": [[1.0, 0.2], [0.0, 0.8]], "epsilon": 0.5,
                            "train": {"n_iters": 400, "batch_size": 16}}),

@@ -19,12 +19,11 @@ import numpy as np
 from . import __version__
 from .kalman import (
     LtiSystem,
-    _bound_report,
     as_estimation_problem,
+    bound_report,
     estimator_ar_mc,
     estimator_sr_closed,
     kalman_estimator,
-    observability_gramian,
 )
 from .model import LinearInverseProblem, RngStream
 from .risk import (
@@ -252,7 +251,7 @@ def _problem_from_params(params: dict) -> LinearInverseProblem:
         p = a_star.shape[0]
         sigma_x = np.asarray(params.get("sigma_x", np.eye(n).tolist()), dtype=float)
         sigma_w = np.asarray(params.get("sigma_w", (0.1 * np.eye(p)).tolist()), dtype=float)
-        epsilon = float(params.get("epsilon", 0.5))
+        epsilon = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
         return LinearInverseProblem.from_matrices(a_star, sigma_x, sigma_w, epsilon)
     except (KeyError, IndexError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid problem parameters: {exc}") from exc
@@ -305,10 +304,10 @@ def _train_config(
         return TrainConfig(
             lam=lam,
             epsilon=epsilon,
-            batch_size=int(train.get("batch_size", 32)),
-            n_iters=int(train.get("n_iters", 5000)),
+            batch_size=_number(train.get("batch_size", 32), "batch_size", integer=True, low=1),
+            n_iters=_number(train.get("n_iters", 5000), "n_iters", integer=True, low=1),
             step_c0=train.get("step_c0"),
-            step_decay=float(train.get("step_decay", 0.5)),
+            step_decay=_number(train.get("step_decay", 0.5), "step_decay"),
             seed=config.seed,
             init=train.get("init", "nominal"),
         )
@@ -319,7 +318,11 @@ def _train_config(
 def _grid(config: ExperimentConfig) -> list[float]:
     if config.lambda_grid is None:
         return default_lambda_grid()
-    grid = [float(v) for v in config.lambda_grid]
+    values = config.lambda_grid
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"lambda_grid must be a list, got {values!r}")
+    # +inf (pure adversarial training) is the one non-finite weight allowed
+    grid = [v if v == math.inf else _number(v, "lambda_grid", low=0.0) for v in values]
     if not grid:
         raise ConfigError("lambda_grid must be nonempty")
     if any(b < a for a, b in zip(grid, grid[1:])):
@@ -332,9 +335,12 @@ def _run_perturb(config: ExperimentConfig) -> ResultTable:
     try:
         a = np.asarray(params["a"], dtype=float)
         b = np.asarray(params["b"], dtype=float).reshape(-1)
-        eps = float(params.get("epsilon", 0.5))
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"perturb requires 'a', 'b' (and optional 'epsilon'): {exc}") from exc
+    if a.ndim != 2 or b.size != a.shape[0]:
+        raise ConfigError(f"perturb needs a matrix 'a' and a 'b' with one entry per row of 'a', "
+                          f"got shapes {a.shape} and {b.shape}")
+    eps = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
     res = worst_case_perturbation(a, b, eps)
     header = ["dual_lambda", "objective_gain", "branch_code", "delta_norm"] + [
         f"delta_{i}" for i in range(res.delta.size)
@@ -343,9 +349,21 @@ def _run_perturb(config: ExperimentConfig) -> ResultTable:
     return ResultTable(header=header, rows=[row + list(res.delta)], metadata={})
 
 
+def _model_matrix(params: dict, problem: LinearInverseProblem) -> np.ndarray:
+    """``params["a"]`` (default ``A*``) as a finite matrix of ``A*``'s shape."""
+    try:
+        a = np.asarray(params.get("a", problem.a_star), dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"a must be a numeric matrix: {exc}") from exc
+    if a.shape != problem.a_star.shape or not np.all(np.isfinite(a)):
+        raise ConfigError(f"a must be a finite matrix of a_star's shape {problem.a_star.shape}, "
+                          f"got shape {a.shape}")
+    return a
+
+
 def _run_risk(config: ExperimentConfig) -> ResultTable:
     problem = _problem_from_params(config.params)
-    a = np.asarray(config.params.get("a", problem.a_star.tolist()), dtype=float)
+    a = _model_matrix(config.params, problem)
     stream = RngStream(config.seed, _MC_STREAM)
     sr = standard_risk_closed(a, problem)
     ar = adversarial_risk_mc(a, problem, config.n_samples, stream)
@@ -359,7 +377,7 @@ def _run_risk(config: ExperimentConfig) -> ResultTable:
 
 def _run_bounds(config: ExperimentConfig) -> ResultTable:
     problem = _problem_from_params(config.params)
-    a = np.asarray(config.params.get("a", problem.a_star.tolist()), dtype=float)
+    a = _model_matrix(config.params, problem)
     stream = RngStream(config.seed, _MC_STREAM)
     bounds = gap_bounds_mc(a, problem, config.n_samples, stream)
     gap = ar_sr_gap_mc(a, problem, config.n_samples, stream)
@@ -393,11 +411,11 @@ def _run_pareto(config: ExperimentConfig) -> ResultTable:
 
 
 def _kalman_row(system: LtiSystem, k: int, eps: float, n_samples: int, stream, system_id):
-    gram = observability_gramian(system)
+    gram = system.gramian
     nominal = kalman_estimator(system, k)
     sr = estimator_sr_closed(nominal, system, k)
     ar = estimator_ar_mc(nominal, system, k, eps, n_samples, stream)
-    report = _bound_report(system, k, eps, nominal, gram)
+    report = bound_report(system, k, eps)
     return [
         system_id, sr, ar.mean, ar.std_error,
         report.gap_lower_general, report.gap_lower_frobenius, report.kalman_gap_lower,
@@ -464,7 +482,7 @@ def _run_fig_observability(config: ExperimentConfig) -> ResultTable:
     rows = []
     for alpha in alphas:
         system = rotation_system(alpha, horizon=horizon)
-        gram = observability_gramian(system)
+        gram = system.gramian
         for k in ks:
             adapter = as_estimation_problem(system, k)
             train_cfg = _train_config(params, config, eps)
@@ -495,7 +513,7 @@ def _run_fig_kf_vs_adv(config: ExperimentConfig) -> ResultTable:
     rows = []
     for rho in rhos:
         system = shear_system(rho, horizon=horizon)
-        gram = observability_gramian(system)
+        gram = system.gramian
         adapter = as_estimation_problem(system, k)
         nominal = adapter.nominal
         stream = RngStream(config.seed, _MC_STREAM)

@@ -90,10 +90,47 @@ class LtiSystem:
     def p(self) -> int:
         return self.c.shape[0]
 
+    # The system's arrays are read-only, so every constant derived from them
+    # is built on first use and kept on the instance; it cannot go stale.
+
     @cached_property
-    def _rollouts(self) -> dict[int, _RolloutModel]:
-        """``simulate_rollouts`` constants by estimation index ``k``."""
+    def gramian(self) -> GramianSummary:
+        """``observability_gramian(self)``, kept (its gramian is read-only)."""
+        summary = observability_gramian(self)
+        _read_only(summary.gramian)
+        return summary
+
+    @cached_property
+    def _noise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked noise covariances ``(Sigma_0, I_N (x) Sigma_w, I_{N+1} (x) Sigma_v)``."""
+        return _stacked_noise(self.sigma0.matrix, self.sigma_w.matrix, self.sigma_v.matrix,
+                              self.horizon)
+
+    @cached_property
+    def _colouring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cholesky factors of ``_noise`` in the same layout:
+        ``(L_0, I_N (x) L_w, I_{N+1} (x) L_v)``."""
+        return _stacked_noise(self.sigma0.cholesky, self.sigma_w.cholesky,
+                              self.sigma_v.cholesky, self.horizon)
+
+    @cached_property
+    def _by_k(self) -> dict[int, tuple]:
+        """``_kept(self, k)`` by estimation index ``k``."""
         return {}
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark ``arrays`` read-only in place (a view keeps its layout) and
+    return them."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
+def _stacked_noise(initial, process, measurement, horizon: int):
+    """``(initial, I_N (x) process, I_{N+1} (x) measurement)``, read-only."""
+    return (initial, *_read_only(np.kron(np.eye(horizon), process),
+                                 np.kron(np.eye(horizon + 1), measurement)))
 
 
 def detect_isotropy(system: LtiSystem, atol: float = ISOTROPY_ATOL) -> float | None:
@@ -199,22 +236,23 @@ def is_observable(system: LtiSystem) -> bool:
     return bool(np.sum(s > 1e-10 * s[0]) == system.n)
 
 
-def _kron_eye(block: np.ndarray, reps: int) -> np.ndarray:
-    return np.kron(np.eye(reps), block) if reps > 0 else np.zeros((0, 0))
-
-
-def _mmse(system: LtiSystem, k: int):
-    """Minimum-mean-square estimator of ``x_k`` with the second moments it
-    solves: ``(L, G_yy, G_xy)``, ``G_yy`` the covariance of the stacked
-    measurements and ``G_xy`` its cross term with ``x_k``."""
-    stacked = build_stacked(system, k)
-    horizon = system.horizon
-    iw = _kron_eye(system.sigma_w.matrix, horizon)
-    iv = _kron_eye(system.sigma_v.matrix, horizon + 1)
-    obs, tau = stacked.obs, stacked.toeplitz
-    g_yy = obs @ system.sigma0.matrix @ obs.T + tau @ iw @ tau.T + iv
-    g_xy = stacked.a_pow_k @ system.sigma0.matrix @ obs.T + stacked.gamma_k @ iw @ tau.T
-    return np.linalg.solve(g_yy.T, g_xy.T).T, g_yy, g_xy
+def _kept(system: LtiSystem, k: int) -> tuple[StackedModel, np.ndarray, np.ndarray, np.ndarray]:
+    """``(stacked, L, G_yy, G_xy)``: ``build_stacked(system, k)`` and the
+    minimum-mean-square estimator ``L`` of ``x_k`` with the second moments it
+    solves, ``G_yy`` the covariance of the stacked measurements and ``G_xy``
+    its cross term with ``x_k``.  Built on first use and kept on the system,
+    with read-only arrays."""
+    kept = system._by_k.get(k)
+    if kept is None:
+        stacked = build_stacked(system, k)
+        sigma0, iw, iv = system._noise
+        obs, tau = stacked.obs, stacked.toeplitz
+        g_yy = obs @ sigma0 @ obs.T + tau @ iw @ tau.T + iv
+        g_xy = stacked.a_pow_k @ sigma0 @ obs.T + stacked.gamma_k @ iw @ tau.T
+        _read_only(obs, tau, stacked.gamma_k, stacked.a_pow_k)
+        kept = (stacked, *_read_only(np.linalg.solve(g_yy.T, g_xy.T).T, g_yy, g_xy))
+        system._by_k[k] = kept
+    return kept
 
 
 def kalman_estimator(system: LtiSystem, k: int) -> np.ndarray:
@@ -222,8 +260,9 @@ def kalman_estimator(system: LtiSystem, k: int) -> np.ndarray:
 
     Filter for ``k = N``, smoother for ``k < N``.  Computed from the joint
     second moments; the measurement-noise term keeps the solve well posed.
+    The result is kept on the system and is read-only.
     """
-    return _mmse(system, k)[0]
+    return _kept(system, k)[1]
 
 
 def recursive_kf(system: LtiSystem, measurements) -> list[np.ndarray]:
@@ -267,12 +306,12 @@ def _residual_terms(l, system: LtiSystem, k: int):
     """The residual ``x_k - L Y`` as three (map, noise covariance) pairs:
     initial-state mismatch, process-noise mismatch, and measurement noise."""
     l = _check_estimator_shape(l, system)
-    stacked = build_stacked(system, k)
-    horizon = system.horizon
+    stacked = _kept(system, k)[0]
+    sigma0, iw, iv = system._noise
     return (
-        (stacked.a_pow_k - l @ stacked.obs, system.sigma0.matrix),
-        (stacked.gamma_k - l @ stacked.toeplitz, _kron_eye(system.sigma_w.matrix, horizon)),
-        (l, _kron_eye(system.sigma_v.matrix, horizon + 1)),
+        (stacked.a_pow_k - l @ stacked.obs, sigma0),
+        (stacked.gamma_k - l @ stacked.toeplitz, iw),
+        (l, iv),
     )
 
 
@@ -292,34 +331,6 @@ def residual_covariance(l, system: LtiSystem, k: int) -> CovarianceSpec:
     return validate_covariance(term0 + term_w + term_v, name="residual covariance")
 
 
-@dataclass(frozen=True, eq=False)
-class _RolloutModel:
-    """Per-``(system, k)`` constants of ``simulate_rollouts``: the stacked
-    model and the colouring factors ``L0``, ``kron(I_N, Lw)`` (None when
-    ``N = 0``) and ``kron(I_{N+1}, Lv)``."""
-
-    stacked: StackedModel
-    l0: np.ndarray
-    lw: np.ndarray | None
-    lv: np.ndarray
-
-
-def _rollout_model(system: LtiSystem, k: int) -> _RolloutModel:
-    """The rollout constants of ``(system, k)``, built on first use and kept
-    on the system, whose arrays are read-only."""
-    model = system._rollouts.get(k)
-    if model is None:
-        horizon = system.horizon
-        model = _RolloutModel(
-            stacked=build_stacked(system, k),
-            l0=system.sigma0.cholesky,
-            lw=np.kron(np.eye(horizon), system.sigma_w.cholesky) if horizon > 0 else None,
-            lv=np.kron(np.eye(horizon + 1), system.sigma_v.cholesky),
-        )
-        system._rollouts[k] = model
-    return model
-
-
 def simulate_rollouts(
     system: LtiSystem,
     k: int,
@@ -332,17 +343,14 @@ def simulate_rollouts(
     Row ``i`` is generated from the counter block of rollout
     ``base_index + i``; draws are shard-invariant.
     """
-    model = _rollout_model(system, k)
-    stacked = model.stacked
+    stacked = _kept(system, k)[0]
+    l0, lw, lv = system._colouring
     n, p, horizon = system.n, system.p, system.horizon
     width = n + n * horizon + p * (horizon + 1)
     z = stream.normal_block(base_index, count, width)
-    x0 = z[:, :n] @ model.l0.T
-    if horizon > 0:
-        w = z[:, n : n + n * horizon] @ model.lw.T
-    else:
-        w = np.zeros((count, 0))
-    v = z[:, n + n * horizon :] @ model.lv.T
+    x0 = z[:, :n] @ l0.T
+    w = z[:, n : n + n * horizon] @ lw.T
+    v = z[:, n + n * horizon :] @ lv.T
     ys = x0 @ stacked.obs.T + w @ stacked.toeplitz.T + v
     xk = x0 @ stacked.a_pow_k.T + w @ stacked.gamma_k.T
     return ys, xk
@@ -457,10 +465,7 @@ def kalman_gap_lower_bound(system: LtiSystem, k: int, epsilon: float) -> float:
     ``rho^(2k) sigma_0^2 + r_factor(rho, k) sigma_w^2``.
     """
     _check_k(system, k)
-    return _kalman_gap_lower(system, k, epsilon, observability_gramian(system))
-
-
-def _kalman_gap_lower(system: LtiSystem, k: int, epsilon: float, gram: GramianSummary) -> float:
+    gram = system.gramian
     sv_min = float(np.linalg.eigvalsh(system.sigma_v.matrix)[0])
     sv_norm = float(np.linalg.eigvalsh(system.sigma_v.matrix)[-1])
     _, bar_max = _sigma_bar_extremes(system)
@@ -482,12 +487,7 @@ def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[f
     grows.
     """
     _check_k(system, k)
-    return _kalman_gap_upper(system, k, epsilon, observability_gramian(system))
-
-
-def _kalman_gap_upper(
-    system: LtiSystem, k: int, epsilon: float, gram: GramianSummary
-) -> tuple[float, str]:
+    gram = system.gramian
     bar_min, bar_max = _sigma_bar_extremes(system)
     sv_min = float(np.linalg.eigvalsh(system.sigma_v.matrix)[0])
     sv_norm = float(np.linalg.eigvalsh(system.sigma_v.matrix)[-1])
@@ -531,30 +531,16 @@ def bound_report(
 ) -> EstimatorBoundReport:
     """Assemble every applicable bound; ``l`` defaults to the nominal
     estimator, enabling the system-level bounds."""
-    if l is None:
-        return _bound_report(system, k, epsilon, kalman_estimator(system, k),
-                             observability_gramian(system))
-    return _bound_report(system, k, epsilon, np.asarray(l, dtype=float), None)
-
-
-def _bound_report(
-    system: LtiSystem, k: int, epsilon: float, l: np.ndarray, gram: GramianSummary | None
-) -> EstimatorBoundReport:
-    """``bound_report`` for a built estimator.  ``gram`` is the system's
-    gramian when ``l`` is the nominal estimator, and None otherwise."""
+    at_nominal = l is None
+    l = _kept(system, k)[1] if at_nominal else np.asarray(l, dtype=float)
     general, frobenius = gap_lower_bounds(l, system, k, epsilon)
     upper = gap_upper_bound_general(l, system, k, epsilon)
-    if gram is not None:
-        kal_lower = _kalman_gap_lower(system, k, epsilon, gram)
-        kal_upper = _kalman_gap_upper(system, k, epsilon, gram)[0]
-    else:
-        kal_lower = kal_upper = None
     return EstimatorBoundReport(
         gap_lower_general=general,
         gap_lower_frobenius=frobenius,
         gap_upper_general=upper,
-        kalman_gap_lower=kal_lower,
-        kalman_gap_upper=kal_upper,
+        kalman_gap_lower=kalman_gap_lower_bound(system, k, epsilon) if at_nominal else None,
+        kalman_gap_upper=kalman_gap_upper_bound(system, k, epsilon)[0] if at_nominal else None,
         assumption_isotropic=detect_isotropy(system) is not None,
     )
 
@@ -567,7 +553,7 @@ def as_estimation_problem(system: LtiSystem, k: int) -> EstimationProblem:
     trained and frontier-traced with the same machinery as the plain
     measurement model.
     """
-    nominal, g_yy, g_xy = _mmse(system, k)
+    _, nominal, g_yy, g_xy = _kept(system, k)
 
     def sr_grad(l):
         return 2.0 * (l @ g_yy - g_xy)
@@ -576,8 +562,6 @@ def as_estimation_problem(system: LtiSystem, k: int) -> EstimationProblem:
         return estimator_ar_mc(l, system, k, eps, n_samples, stream)
 
     return EstimationProblem(
-        dim_out=system.n,
-        dim_in=system.p * (system.horizon + 1),
         nominal=nominal,
         draw=partial(simulate_rollouts, system, k),
         sr_closed=lambda l: estimator_sr_closed(l, system, k),

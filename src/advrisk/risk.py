@@ -135,12 +135,11 @@ def adversarial_risk_mc(
     n_samples: int = DEFAULT_SAMPLES,
     stream: RngStream = RngStream(0),
     base_index: int = 0,
-    epsilon: float | None = None,
 ) -> RiskEstimate:
     """Monte Carlo adversarial risk: per sample ``||b||^2`` plus the exact
     inner-adversary gain, with one SVD of ``a`` shared by all samples."""
-    eps = problem.epsilon if epsilon is None else float(epsilon)
-    return mc_mean(a, pair_sampler(problem), n_samples, stream, base_index, eps, "value")
+    return mc_mean(a, pair_sampler(problem), n_samples, stream, base_index, problem.epsilon,
+                   "value")
 
 
 def ar_sr_gap_mc(
@@ -149,7 +148,6 @@ def ar_sr_gap_mc(
     n_samples: int = DEFAULT_SAMPLES,
     stream: RngStream = RngStream(0),
     base_index: int = 0,
-    epsilon: float | None = None,
 ) -> RiskEstimate:
     """Common-random-number estimate of ``AR(A) - SR(A)``.
 
@@ -157,8 +155,8 @@ def ar_sr_gap_mc(
     is nonnegative, so this estimator is far tighter than differencing two
     independent risk estimates.
     """
-    eps = problem.epsilon if epsilon is None else float(epsilon)
-    return mc_mean(a, pair_sampler(problem), n_samples, stream, base_index, eps, "gain")
+    return mc_mean(a, pair_sampler(problem), n_samples, stream, base_index, problem.epsilon,
+                   "gain")
 
 
 def gap_bounds_mc(
@@ -167,7 +165,6 @@ def gap_bounds_mc(
     n_samples: int = DEFAULT_SAMPLES,
     stream: RngStream = RngStream(0),
     base_index: int = 0,
-    epsilon: float | None = None,
 ) -> GapBounds:
     """Sandwich bounds ``2 eps E||A'(y-Ax)|| + eps^2 lambda_{min/max}(A'A)``.
 
@@ -175,7 +172,7 @@ def gap_bounds_mc(
     from the SVD (``lambda_min = 0`` for wide matrices, whose Gram matrix is
     rank deficient).
     """
-    eps = problem.epsilon if epsilon is None else float(epsilon)
+    eps = problem.epsilon
     fact, out = _mc_columns(a, pair_sampler(problem), n_samples, stream, base_index, eps,
                             ("cross",))
     est = mc_estimate(out["cross"], stream.seed)

@@ -32,13 +32,11 @@ _EVAL_STREAM = 202
 class EstimationProblem:
     """Hooks binding a data model to the trainers.
 
-    The trained matrix maps ``dim_in``-vectors to ``dim_out``-vectors and
-    the loss per pair is ``||y - A x||^2`` (adversarially, ``x`` is
-    perturbed).  ``draw`` must be deterministic in ``(stream, base_index)``.
+    The trained matrix has the shape of ``nominal`` and the loss per pair
+    is ``||y - A x||^2`` (adversarially, ``x`` is perturbed).  ``draw``
+    must be deterministic in ``(stream, base_index)``.
     """
 
-    dim_out: int
-    dim_in: int
     nominal: np.ndarray
     draw: Callable[[int, RngStream, int], tuple[np.ndarray, np.ndarray]]
     sr_closed: Callable[[np.ndarray], float]
@@ -59,8 +57,6 @@ def problem_adapter(problem: LinearInverseProblem) -> EstimationProblem:
         return adversarial_risk_mc(a, with_epsilon(problem, eps), n_samples, stream)
 
     return EstimationProblem(
-        dim_out=problem.p,
-        dim_in=problem.n,
         nominal=problem.a_star.copy(),
         draw=pair_sampler(problem),
         sr_closed=lambda a: standard_risk_closed(a, problem),
@@ -122,13 +118,13 @@ class TrainConfig:
 def _init_matrix(config: TrainConfig, adapter: EstimationProblem) -> np.ndarray:
     if isinstance(config.init, np.ndarray):
         a0 = np.array(config.init, dtype=float)
-        if a0.shape != (adapter.dim_out, adapter.dim_in):
-            raise ValueError(f"init shape {a0.shape} != ({adapter.dim_out}, {adapter.dim_in})")
+        if a0.shape != adapter.nominal.shape:
+            raise ValueError(f"init shape {a0.shape} != {adapter.nominal.shape}")
         return a0
     if config.init == "nominal":
         return adapter.nominal.copy()
     if config.init == "zeros":
-        return np.zeros((adapter.dim_out, adapter.dim_in))
+        return np.zeros(adapter.nominal.shape)
     raise ValueError(f"unknown init {config.init!r}")
 
 

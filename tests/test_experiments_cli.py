@@ -235,12 +235,44 @@ class TestCli:
 
     @pytest.mark.parametrize("train", [
         {"step_c0": "abc"}, {"step_c0": float("nan")}, {"step_c0": float("inf")},
-        {"step_c0": -1.0}, {"init": 5},
-    ], ids=["c0-str", "c0-nan", "c0-inf", "c0-negative", "init-int"])
+        {"step_c0": -1.0}, {"init": 5}, {"n_iters": float("inf")}, {"n_iters": 2.7},
+        {"batch_size": 2.7}, {"step_decay": True},
+    ], ids=["c0-str", "c0-nan", "c0-inf", "c0-negative", "init-int", "iters-inf",
+            "iters-fraction", "batch-fraction", "decay-bool"])
     def test_malformed_training_block_is_config_error(self, tmp_path, train):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"params": {"a_star": [[1.0]], "train": train}}))
         assert main(["pareto", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("grid", [5, ["abc"], [True], [-1.0], [float("nan")],
+                                      [-math.inf]],
+                             ids=["scalar", "string", "bool", "negative", "nan", "minus-inf"])
+    def test_bad_lambda_grid_is_config_error(self, tmp_path, grid):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"a_star": [[1.0]]}, "lambda_grid": grid}))
+        assert main(["pareto", "--config", str(path)]) == 2
+
+    def test_infinite_lambda_accepted(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"a_star": [[1.0]], "train": {"n_iters": 20}},
+                                    "lambda_grid": [0.0, math.inf], "n_samples": 100}))
+        assert main(["pareto", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("command, params", [
+        ("perturb", {"a": [[1.0, 0.0], [0.0, 2.0]], "b": [1.0, 1.0], "epsilon": -1.0}),
+        ("perturb", {"a": [[1.0, 0.0], [0.0, 2.0]], "b": [1.0, 1.0], "epsilon": True}),
+        ("perturb", {"a": [[1.0, 0.0], [0.0, 2.0]], "b": [1.0, 1.0, 1.0]}),
+        ("risk", {"a_star": [[1.0, 0.0], [0.0, 2.0]], "a": [[1.0, 0.0, 0.0]]}),
+        ("risk", {"a_star": [[1.0, 0.0], [0.0, 2.0]], "a": [["x"]]}),
+        ("risk", {"a_star": [[1.0, 0.0], [0.0, 2.0]], "epsilon": True}),
+        ("bounds", {"a_star": [[1.0, 0.0], [0.0, 2.0]], "a": [[1.0, 0.0, 0.0]]}),
+        ("bounds", {"a_star": [[1.0, 0.0], [0.0, 2.0]], "a": [["x"]]}),
+    ], ids=["perturb-eps-negative", "perturb-eps-bool", "perturb-b-length", "risk-a-shape",
+            "risk-a-string", "risk-eps-bool", "bounds-a-shape", "bounds-a-string"])
+    def test_bad_model_and_budget_are_config_errors(self, tmp_path, command, params):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": params, "n_samples": 100}))
+        assert main([command, "--config", str(path)]) == 2
 
     @pytest.mark.parametrize("content", [b"[1, 2]", b'"risk"', b'{"seed": "\xff"}'],
                              ids=["array", "string", "not-utf8"])

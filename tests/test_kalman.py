@@ -401,7 +401,7 @@ class TestKeptConstants:
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_training_builds_constants_once(self, monkeypatch):
-        calls = {"build_stacked": 0, "cholesky_factor": 0}
+        calls = {"build_stacked": 0, "cholesky_factor": 0, "observability_gramian": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -413,10 +413,31 @@ class TestKeptConstants:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(kalman, "build_stacked")
+        counted(kalman, "observability_gramian")
         counted(model, "cholesky_factor")
-        adapter = as_estimation_problem(shear_system(0.5), 0)
-        train(adapter, TrainConfig(lam=float("inf"), epsilon=0.5, n_iters=200, seed=0))
-        # one stacked model for the MMSE solve and one kept for the rollouts;
-        # one factor per covariance; none per SGD step
-        assert calls["build_stacked"] <= 2
+        system = shear_system(0.5)
+        adapter = as_estimation_problem(system, 0)
+        robust = train(adapter, TrainConfig(lam=float("inf"), epsilon=0.5, n_iters=200, seed=0))
+        for _ in range(3):
+            adapter.sr_closed(robust)
+            residual_covariance(robust, system, 0)
+            bound_report(system, 0, 0.5)
+        # one stacked model shared by the MMSE solve, the rollouts, the
+        # closed-form risks and the bounds; one factor per covariance; none
+        # per SGD step or per call
+        assert calls["build_stacked"] == 1
+        assert calls["observability_gramian"] <= 1
         assert calls["cholesky_factor"] <= 3
+
+    def test_kept_gramian_and_estimator(self):
+        system = make_system([[0.9, 0.4], [-0.2, 1.0]], [[1.0, 0.5]], horizon=3)
+        kept, fresh = system.gramian, observability_gramian(system)
+        assert kept is system.gramian
+        assert kept.gramian.tobytes() == fresh.gramian.tobytes()
+        assert (kept.lambda_min, kept.lambda_max, kept.frobenius) == (
+            fresh.lambda_min, fresh.lambda_max, fresh.frobenius)
+        estimator = kalman_estimator(system, 1)
+        assert estimator is as_estimation_problem(system, 1).nominal
+        for arr in (kept.gramian, estimator):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 3.0

@@ -68,7 +68,7 @@ class TestAdversarialRiskMc:
         prob = make_problem(rng.standard_normal((3, 3)))
         a = rng.standard_normal((3, 3))
         means = [
-            adversarial_risk_mc(a, prob, 3000, RngStream(4), epsilon=e).mean
+            adversarial_risk_mc(a, with_epsilon(prob, e), 3000, RngStream(4)).mean
             for e in (0.0, 0.25, 0.5, 1.0, 2.0)
         ]
         assert all(lo <= hi + 1e-12 for lo, hi in zip(means, means[1:]))

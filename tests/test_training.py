@@ -184,7 +184,7 @@ class TestParetoTrace:
 def test_problem_adapter_hooks(rng):
     prob = make_problem(rng.standard_normal((2, 3)))
     adapter = problem_adapter(prob)
-    assert adapter.dim_out == 2 and adapter.dim_in == 3
+    assert adapter.nominal.shape == (2, 3)
     a = rng.standard_normal((2, 3))
     assert np.isclose(adapter.sr_closed(a), standard_risk_closed(a, prob))
     assert np.allclose(adapter.sr_grad(prob.a_star), 0.0)
