@@ -3,8 +3,9 @@
 
 The set is the three quick figures (sizes as in ``reproduce_figures.py
 --quick``) plus one config each of ``risk``, ``bounds`` (at a = A* and at
-a != A*), ``pareto`` and ``perturb``, ``kalman-bounds`` at horizon 5 and at
-horizon 0 (no process noise in the stacked model), and a ``fig-kf-vs-adv``
+a != A*), ``pareto`` and ``perturb``, ``kalman-bounds`` at horizon 5, at
+horizon 0 (no process noise in the stacked model) and on two ``systems``
+entries of horizons 3 and 5 with no ``k``, and a ``fig-kf-vs-adv``
 that trains a smoother at an interior ``k < N``.  Running it before
 and after a change that must not alter any number gives two tables that
 should match line for line.  With ``--against TABLE`` (the output of an
@@ -42,6 +43,13 @@ EXTRA = {
     "kalman_bounds_h0": dict(kind="kalman-bounds", n_samples=40_000,
                              params={"alphas": [0.95, 0.99], "k": 0, "horizon": 0,
                                      "epsilon": 0.5}),
+    # no "k": each system is evaluated at its own horizon (the filter)
+    "kalman_bounds_systems": dict(kind="kalman-bounds", n_samples=40_000, params={
+        "epsilon": 0.5, "systems": [
+            {"a": [[0.9, 0.3], [-0.3, 0.9]], "c": [[1.0, 0.0]], "horizon": 3},
+            {"a": [[1.0, 0.5], [0.0, 1.0]], "c": [[1.0, 0.0]], "sigma_v": [[0.2]],
+             "horizon": 5},
+        ]}),
     "kf_vs_adv_smoother": dict(kind="fig-kf-vs-adv", n_samples=40_000,
                                params={"rhos": [0.3, 1.5], "k": 1, "horizon": 3, "epsilon": 0.5,
                                        "train": {"n_iters": 300, "batch_size": 16}}),

@@ -12,7 +12,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -35,17 +35,6 @@ from .risk import (
 )
 from .training import TrainConfig, pareto_trace, train
 from .trs import worst_case_perturbation
-
-EXPERIMENT_KINDS = (
-    "perturb",
-    "risk",
-    "bounds",
-    "pareto",
-    "kalman-bounds",
-    "fig-condition",
-    "fig-observability",
-    "fig-kf-vs-adv",
-)
 
 _MATRIX_STREAM = 11
 _MC_STREAM = 12
@@ -83,26 +72,17 @@ class ExperimentConfig:
             raise ConfigError("n_samples must be positive")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
-        if not isinstance(self.params, dict):
-            raise ConfigError("params must be an object")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "lambda_grid": self.lambda_grid,
-            "output_path": self.output_path,
-            "svg": self.svg,
-        }
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
+        if not isinstance(self.svg, bool):
+            raise ConfigError(f"svg must be true or false, got {self.svg!r}")
+        _known(self.params, _RUNNERS[self.kind][1], "params")
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"kind", "params", "seed", "n_samples", "lambda_grid", "output_path", "svg"}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         if "kind" not in data:
@@ -115,13 +95,8 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         # Hash only the fields that determine the numbers; output path and
         # SVG choice are presentation and must not alter CSV content.
-        semantic = {
-            "kind": self.kind,
-            "params": self.params,
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "lambda_grid": self.lambda_grid,
-        }
+        semantic = {key: value for key, value in asdict(self).items()
+                    if key not in ("output_path", "svg")}
         canon = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
@@ -150,6 +125,18 @@ def _number(value, name: str, integer: bool = False,
         raise ConfigError(f"{name} is too large for a float") from exc
 
 
+def _known(obj, keys: set, where: str) -> dict:
+    """``obj`` if it is an object whose keys all lie in ``keys``, so a
+    misspelt key is a config error rather than a silent default."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object, got {obj!r}")
+    unknown = set(obj) - keys
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown, key=str)}; "
+                          f"options: {sorted(keys)}")
+    return obj
+
+
 def _numbers(params: dict, name: str, default, **limits) -> list:
     """``params[name]`` (or ``default``) as a list of ``_number`` values."""
     values = params.get(name, default)
@@ -169,7 +156,7 @@ class ResultTable:
 
     header: list[str]
     rows: list[list[float]]
-    metadata: dict
+    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for row in self.rows:
@@ -244,6 +231,14 @@ def _haar_orthogonal(n: int, stream: RngStream, base_index: int) -> np.ndarray:
     return q * signs
 
 
+def _epsilon(params: dict) -> float:
+    return _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
+
+
+def _horizon(params: dict) -> int:
+    return _number(params.get("horizon", 5), "horizon", integer=True, low=0)
+
+
 def _problem_from_params(params: dict) -> LinearInverseProblem:
     try:
         a_star = np.asarray(params["a_star"], dtype=float)
@@ -251,8 +246,7 @@ def _problem_from_params(params: dict) -> LinearInverseProblem:
         p = a_star.shape[0]
         sigma_x = np.asarray(params.get("sigma_x", np.eye(n).tolist()), dtype=float)
         sigma_w = np.asarray(params.get("sigma_w", (0.1 * np.eye(p)).tolist()), dtype=float)
-        epsilon = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
-        return LinearInverseProblem.from_matrices(a_star, sigma_x, sigma_w, epsilon)
+        return LinearInverseProblem.from_matrices(a_star, sigma_x, sigma_w, _epsilon(params))
     except (KeyError, IndexError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid problem parameters: {exc}") from exc
 
@@ -267,8 +261,7 @@ def _system_from_params(params: dict) -> LtiSystem:
         sigma0 = np.asarray(params.get("sigma0", np.eye(n).tolist()), dtype=float)
         sigma_w = np.asarray(params.get("sigma_w", (0.1 * np.eye(n)).tolist()), dtype=float)
         sigma_v = np.asarray(params.get("sigma_v", (0.1 * np.eye(p)).tolist()), dtype=float)
-        horizon = _number(params.get("horizon", 5), "horizon", integer=True, low=0)
-        return LtiSystem.from_matrices(a, c, sigma0, sigma_w, sigma_v, horizon)
+        return LtiSystem.from_matrices(a, c, sigma0, sigma_w, sigma_v, _horizon(params))
     except (KeyError, IndexError, ValueError, TypeError) as exc:
         raise ConfigError(f"invalid system parameters: {exc}") from exc
 
@@ -294,12 +287,8 @@ def shear_system(rho: float, sigma_v: float = 0.1, horizon: int = 5) -> LtiSyste
     return LtiSystem.from_matrices(a, c, np.eye(2), 0.1 * np.eye(2), [[sigma_v]], horizon)
 
 
-def _train_config(
-    params: dict, config: ExperimentConfig, epsilon: float, lam: float = 0.0
-) -> TrainConfig:
-    train = params.get("train", {})
-    if not isinstance(train, dict):
-        raise ConfigError("params.train must be an object")
+def _train_config(config: ExperimentConfig, epsilon: float, lam: float = 0.0) -> TrainConfig:
+    train = _known(config.params.get("train", {}), _TRAIN_KEYS, "params.train")
     try:
         return TrainConfig(
             lam=lam,
@@ -340,17 +329,18 @@ def _run_perturb(config: ExperimentConfig) -> ResultTable:
     if a.ndim != 2 or b.size != a.shape[0]:
         raise ConfigError(f"perturb needs a matrix 'a' and a 'b' with one entry per row of 'a', "
                           f"got shapes {a.shape} and {b.shape}")
-    eps = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
-    res = worst_case_perturbation(a, b, eps)
+    res = worst_case_perturbation(a, b, _epsilon(params))
     header = ["dual_lambda", "objective_gain", "branch_code", "delta_norm"] + [
         f"delta_{i}" for i in range(res.delta.size)
     ]
     row = [res.dual_lambda, res.objective_gain, res.branch, np.linalg.norm(res.delta)]
-    return ResultTable(header=header, rows=[row + list(res.delta)], metadata={})
+    return ResultTable(header=header, rows=[row + list(res.delta)])
 
 
-def _model_matrix(params: dict, problem: LinearInverseProblem) -> np.ndarray:
-    """``params["a"]`` (default ``A*``) as a finite matrix of ``A*``'s shape."""
+def _problem_and_model(params: dict) -> tuple[LinearInverseProblem, np.ndarray]:
+    """The problem of ``params`` and the model ``params["a"]`` (default ``A*``),
+    a finite matrix of ``A*``'s shape."""
+    problem = _problem_from_params(params)
     try:
         a = np.asarray(params.get("a", problem.a_star), dtype=float)
     except (ValueError, TypeError) as exc:
@@ -358,12 +348,11 @@ def _model_matrix(params: dict, problem: LinearInverseProblem) -> np.ndarray:
     if a.shape != problem.a_star.shape or not np.all(np.isfinite(a)):
         raise ConfigError(f"a must be a finite matrix of a_star's shape {problem.a_star.shape}, "
                           f"got shape {a.shape}")
-    return a
+    return problem, a
 
 
 def _run_risk(config: ExperimentConfig) -> ResultTable:
-    problem = _problem_from_params(config.params)
-    a = _model_matrix(config.params, problem)
+    problem, a = _problem_and_model(config.params)
     stream = RngStream(config.seed, _MC_STREAM)
     sr = standard_risk_closed(a, problem)
     ar = adversarial_risk_mc(a, problem, config.n_samples, stream)
@@ -371,13 +360,11 @@ def _run_risk(config: ExperimentConfig) -> ResultTable:
     return ResultTable(
         header=["sr", "ar_mean", "ar_stderr", "gap_mean", "gap_stderr"],
         rows=[[sr, ar.mean, ar.std_error, gap.mean, gap.std_error]],
-        metadata={},
     )
 
 
 def _run_bounds(config: ExperimentConfig) -> ResultTable:
-    problem = _problem_from_params(config.params)
-    a = _model_matrix(config.params, problem)
+    problem, a = _problem_and_model(config.params)
     stream = RngStream(config.seed, _MC_STREAM)
     bounds = gap_bounds_mc(a, problem, config.n_samples, stream)
     gap = ar_sr_gap_mc(a, problem, config.n_samples, stream)
@@ -396,18 +383,24 @@ def _run_bounds(config: ExperimentConfig) -> ResultTable:
             header += ["closed_lower", "closed_upper"]
         except ValueError:
             pass  # anisotropic noise: closed form not applicable
-    return ResultTable(header=header, rows=rows, metadata={})
+    return ResultTable(header=header, rows=rows)
+
+
+_FRONTIER_HEADER = ["lambda", "sr", "ar_mean", "ar_stderr"]
+
+
+def _frontier_rows(problem, config: ExperimentConfig, eps: float, prefix: list) -> list[list]:
+    """One row ``prefix + _FRONTIER_HEADER`` per point of ``problem``'s frontier
+    over the config's λ grid."""
+    train_cfg = _train_config(config, eps)
+    points = pareto_trace(problem, _grid(config), train_cfg, eval_samples=config.n_samples)
+    return [prefix + [pt.lam, pt.sr, pt.ar.mean, pt.ar.std_error] for pt in points]
 
 
 def _run_pareto(config: ExperimentConfig) -> ResultTable:
     problem = _problem_from_params(config.params)
-    train_cfg = _train_config(config.params, config, problem.epsilon)
-    points = pareto_trace(problem, _grid(config), train_cfg, eval_samples=config.n_samples)
-    return ResultTable(
-        header=["lambda", "sr", "ar_mean", "ar_stderr"],
-        rows=[[pt.lam, pt.sr, pt.ar.mean, pt.ar.std_error] for pt in points],
-        metadata={},
-    )
+    return ResultTable(header=_FRONTIER_HEADER,
+                       rows=_frontier_rows(problem, config, problem.epsilon, []))
 
 
 def _kalman_row(system: LtiSystem, k: int, eps: float, n_samples: int, stream, system_id):
@@ -434,9 +427,8 @@ _KALMAN_HEADER = [
 
 def _run_kalman_bounds(config: ExperimentConfig) -> ResultTable:
     params = config.params
-    horizon = _number(params.get("horizon", 5), "horizon", integer=True, low=0)
-    k = _number(params.get("k", horizon), "k", integer=True, low=0)
-    eps = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
+    horizon = _horizon(params)
+    eps = _epsilon(params)
     stream = RngStream(config.seed, _MC_STREAM)
     if "alphas" in params:
         systems = [rotation_system(al, horizon=horizon)
@@ -444,59 +436,51 @@ def _run_kalman_bounds(config: ExperimentConfig) -> ResultTable:
     elif "systems" in params:
         if not isinstance(params["systems"], list):
             raise ConfigError("systems must be a list of system objects")
-        systems = [_system_from_params(s) for s in params["systems"]]
+        systems = [_system_from_params(_known(s, _SYSTEM_KEYS, "a systems entry"))
+                   for s in params["systems"]]
     else:
         systems = [_system_from_params(params)]
+    # An explicit k must lie within every system's horizon; without one, each
+    # system is evaluated at its own horizon (the filter).
+    shortest = min((system.horizon for system in systems), default=math.inf)
+    k = _number(params["k"], "k", integer=True, low=0, high=shortest) if "k" in params else None
     rows = [
-        _kalman_row(system, min(k, system.horizon), eps, config.n_samples, stream, idx)
+        _kalman_row(system, system.horizon if k is None else k, eps, config.n_samples, stream, idx)
         for idx, system in enumerate(systems)
     ]
-    return ResultTable(header=_KALMAN_HEADER, rows=rows, metadata={})
+    return ResultTable(header=_KALMAN_HEADER, rows=rows)
 
 
 def _run_fig_condition(config: ExperimentConfig) -> ResultTable:
     params = config.params
     kappas = _numbers(params, "kappas", [1.0, 3.0, 10.0], low=1.0)
     n = _number(params.get("n", 4), "n", integer=True, low=1)
-    eps = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
+    eps = _epsilon(params)
     rows = []
     for kappa in kappas:
         a_star = generate_conditioned_matrix(n, kappa, RngStream(config.seed, _MATRIX_STREAM))
         problem = LinearInverseProblem.from_matrices(a_star, np.eye(n), 0.1 * np.eye(n), eps)
-        train_cfg = _train_config(params, config, eps)
-        points = pareto_trace(problem, _grid(config), train_cfg, eval_samples=config.n_samples)
-        rows += [[kappa, pt.lam, pt.sr, pt.ar.mean, pt.ar.std_error] for pt in points]
-    return ResultTable(
-        header=["kappa", "lambda", "sr", "ar_mean", "ar_stderr"],
-        rows=rows,
-        metadata={},
-    )
+        rows += _frontier_rows(problem, config, eps, [kappa])
+    return ResultTable(header=["kappa", *_FRONTIER_HEADER], rows=rows)
 
 
 def _run_fig_observability(config: ExperimentConfig) -> ResultTable:
     params = config.params
     alphas = _numbers(params, "alphas", [0.95, 0.98, 0.99])
-    horizon = _number(params.get("horizon", 5), "horizon", integer=True, low=0)
+    horizon = _horizon(params)
     ks = _numbers(params, "ks", [0, horizon], integer=True, low=0, high=horizon)
-    eps = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
+    eps = _epsilon(params)
     rows = []
     for alpha in alphas:
         system = rotation_system(alpha, horizon=horizon)
         gram = system.gramian
         for k in ks:
-            adapter = as_estimation_problem(system, k)
-            train_cfg = _train_config(params, config, eps)
-            points = pareto_trace(adapter, _grid(config), train_cfg, eval_samples=config.n_samples)
-            rows += [
-                [alpha, k, gram.lambda_min, gram.min_singular_value,
-                 pt.lam, pt.sr, pt.ar.mean, pt.ar.std_error]
-                for pt in points
-            ]
+            rows += _frontier_rows(as_estimation_problem(system, k), config, eps,
+                                   [alpha, k, gram.lambda_min, gram.min_singular_value])
     return ResultTable(
         header=["alpha", "k", "lambda_min_gramian", "sqrt_lambda_min_gramian",
-                "lambda", "sr", "ar_mean", "ar_stderr"],
+                *_FRONTIER_HEADER],
         rows=rows,
-        metadata={},
     )
 
 
@@ -507,9 +491,9 @@ def _run_fig_kf_vs_adv(config: ExperimentConfig) -> ResultTable:
     else:
         count = _number(params.get("n_rhos", 12), "n_rhos", integer=True, low=1)
         rhos = [float(v) for v in np.geomspace(0.1, np.sqrt(10.0), count)]
-    horizon = _number(params.get("horizon", 5), "horizon", integer=True, low=0)
+    horizon = _horizon(params)
     k = _number(params.get("k", 0), "k", integer=True, low=0, high=horizon)
-    eps = _number(params.get("epsilon", 0.5), "epsilon", low=0.0)
+    eps = _epsilon(params)
     rows = []
     for rho in rhos:
         system = shear_system(rho, horizon=horizon)
@@ -519,7 +503,7 @@ def _run_fig_kf_vs_adv(config: ExperimentConfig) -> ResultTable:
         stream = RngStream(config.seed, _MC_STREAM)
         sr_kf = estimator_sr_closed(nominal, system, k)
         ar_kf = estimator_ar_mc(nominal, system, k, eps, config.n_samples, stream)
-        robust = train(adapter, _train_config(params, config, eps, lam=math.inf))
+        robust = train(adapter, _train_config(config, eps, lam=math.inf))
         sr_adv = estimator_sr_closed(robust, system, k)
         ar_adv = estimator_ar_mc(robust, system, k, eps, config.n_samples, stream)
         rows.append([
@@ -532,20 +516,27 @@ def _run_fig_kf_vs_adv(config: ExperimentConfig) -> ResultTable:
                 "sr_kf", "ar_kf_mean", "ar_kf_stderr",
                 "sr_adv", "ar_adv_mean", "ar_adv_stderr"],
         rows=rows,
-        metadata={},
     )
 
 
+_TRAIN_KEYS = {"batch_size", "n_iters", "step_c0", "step_decay", "init"}
+_PROBLEM_KEYS = {"a_star", "sigma_x", "sigma_w", "epsilon"}
+_SYSTEM_KEYS = {"a", "c", "sigma0", "sigma_w", "sigma_v", "horizon"}
+
+# kind -> (runner, the keys its params may hold)
 _RUNNERS = {
-    "perturb": _run_perturb,
-    "risk": _run_risk,
-    "bounds": _run_bounds,
-    "pareto": _run_pareto,
-    "kalman-bounds": _run_kalman_bounds,
-    "fig-condition": _run_fig_condition,
-    "fig-observability": _run_fig_observability,
-    "fig-kf-vs-adv": _run_fig_kf_vs_adv,
+    "perturb": (_run_perturb, {"a", "b", "epsilon"}),
+    "risk": (_run_risk, _PROBLEM_KEYS | {"a"}),
+    "bounds": (_run_bounds, _PROBLEM_KEYS | {"a"}),
+    "pareto": (_run_pareto, _PROBLEM_KEYS | {"train"}),
+    "kalman-bounds": (_run_kalman_bounds, _SYSTEM_KEYS | {"alphas", "systems", "k", "epsilon"}),
+    "fig-condition": (_run_fig_condition, {"kappas", "n", "epsilon", "train"}),
+    "fig-observability": (_run_fig_observability,
+                          {"alphas", "ks", "horizon", "epsilon", "train"}),
+    "fig-kf-vs-adv": (_run_fig_kf_vs_adv,
+                      {"rhos", "n_rhos", "k", "horizon", "epsilon", "train"}),
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
@@ -553,12 +544,12 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 
     The SVG is pure presentation: skipping it never changes the CSV.
     """
-    table = _RUNNERS[config.kind](config)
+    runner, _ = _RUNNERS[config.kind]
+    table = runner(config)
     table.metadata = {
         "seed": config.seed,
         "config_hash": config.config_hash(),
         "tool_version": __version__,
-        **table.metadata,
     }
     if config.output_path:
         table.write_csv(config.output_path)

@@ -77,18 +77,20 @@ def frontier_svg(table, path, title: str = "") -> None:
     """Chart a ResultTable: (sr, ar) frontier if present, else first two columns."""
     header = table.header
     if "sr" in header and "ar_mean" in header:
-        group_keys = [c for c in ("kappa", "alpha", "rho", "system_id") if c in header]
-        if group_keys:
-            key = group_keys[0]
-            vals = sorted({row[header.index(key)] for row in table.rows})
-            series = []
-            for v in vals:
-                rows = [r for r in table.rows if r[header.index(key)] == v]
-                series.append(
-                    (f"{key}={v:g}",
-                     [r[header.index("sr")] for r in rows],
-                     [r[header.index("ar_mean")] for r in rows])
-                )
+        # one series per combination of the grouping columns present, so that
+        # e.g. fig-observability draws one frontier per (alpha, k)
+        keys = [c for c in ("kappa", "alpha", "k", "rho", "system_id") if c in header]
+        if keys:
+            cols = [header.index(c) for c in keys]
+            groups = {}
+            for row in table.rows:
+                groups.setdefault(tuple(row[i] for i in cols), []).append(row)
+            series = [
+                (", ".join(f"{key}={v:g}" for key, v in zip(keys, vals)),
+                 [r[header.index("sr")] for r in rows],
+                 [r[header.index("ar_mean")] for r in rows])
+                for vals, rows in sorted(groups.items())
+            ]
         else:
             series = [("frontier", table.column("sr"), table.column("ar_mean"))]
         svg = svg_line_chart(series, title=title, xlabel="standard risk", ylabel="adversarial risk")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -27,7 +28,7 @@ class TestExperimentConfig:
     def test_round_trip(self):
         cfg = ExperimentConfig(kind="risk", params={"a_star": [[1.0]]}, seed=3,
                                n_samples=500, lambda_grid=[0.0, 1.0], output_path="x.csv")
-        again = ExperimentConfig.from_dict(json.loads(json.dumps(cfg.to_dict())))
+        again = ExperimentConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert again == cfg
 
     def test_unknown_kind(self):
@@ -49,6 +50,11 @@ class TestExperimentConfig:
         assert base.config_hash() == with_out.config_hash()
         other_seed = ExperimentConfig(kind="risk", params={"a_star": [[1.0]]}, seed=4)
         assert base.config_hash() != other_seed.config_hash()
+
+    def test_hash_pinned(self):
+        # every CSV carries this hash; a change to how it is derived must not move it
+        cfg = ExperimentConfig(kind="risk", params={"a_star": [[1.0]]}, seed=3)
+        assert cfg.config_hash() == "2a6a6fd2808623d7"
 
 
 class TestResultTable:
@@ -163,6 +169,30 @@ class TestRunExperiment:
         for alpha, target in ((0.95, 1.22), (0.98, 0.81), (0.99, 0.58)):
             assert abs(got[alpha] - target) <= 0.01
 
+    def test_fig_observability_svg_draws_one_series_per_alpha_and_k(self, tmp_path):
+        out = tmp_path / "obs.csv"
+        cfg = ExperimentConfig(
+            kind="fig-observability",
+            params={"alphas": [0.95, 0.99], "ks": [0, 5], "epsilon": 0.5,
+                    "train": {"n_iters": 10, "batch_size": 8}},
+            n_samples=200, seed=9, lambda_grid=[0.0, 1.0, math.inf],
+            output_path=str(out), svg=True,
+        )
+        run_experiment(cfg)
+        svg = (tmp_path / "obs.svg").read_text()
+        assert svg.count("<polyline") == 4
+        assert "alpha=0.95, k=5" in svg
+
+    def test_kalman_bounds_defaults_k_to_each_system_horizon(self):
+        system = {"a": [[1.0, 0.5], [0.0, 1.0]], "c": [[1.0, 0.0]], "horizon": 3}
+
+        def rows(params):
+            config = ExperimentConfig(kind="kalman-bounds", n_samples=200, params=params)
+            return run_experiment(config).rows
+
+        # a systems entry's default k is its own horizon, not the top-level one
+        assert rows({"systems": [system], "horizon": 1}) == rows({"systems": [system], "k": 3})
+
     def test_byte_identical_rerun(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         for out, svg in ((out1, False), (out2, True)):
@@ -221,7 +251,10 @@ class TestCli:
                                                "epsilon": 0.5}}))
         assert main(["perturb", "--config", str(path)]) == 3
 
-    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("n_samples", True)])
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("n_samples", True), ("output_path", 7),
+        pytest.param("output_path", ["x"], id="output_path-list"), ("svg", "no"),
+    ])
     def test_non_integer_field_is_config_error(self, tmp_path, field, value):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"params": {"a_star": [[1.0]]}, field: value}))
@@ -297,6 +330,7 @@ class TestCli:
         ("kalman", {"alphas": [0.95, "x"]}),
         ("kalman", {"systems": 5}),
         ("kalman", {"a": [[1.0]], "c": [[1.0]], "horizon": 2.5}),
+        ("kalman", {"systems": [{"a": [[1.0]], "c": [[1.0]], "horizon": 2}], "k": 4}),
         ("fig-condition", {"kappas": [0.5]}),
         ("fig-condition", {"kappas": 10.0}),
         ("fig-condition", {"n": 2.5}),
@@ -306,7 +340,8 @@ class TestCli:
         ("fig-kf-vs-adv", {"n_rhos": 0}),
         ("fig-kf-vs-adv", {"rhos": [float("nan")]}),
     ], ids=["k-fraction", "k-string", "horizon-negative", "epsilon-negative", "epsilon-nan",
-            "alpha-string", "systems-number", "system-horizon-fraction", "kappa-below-one",
+            "alpha-string", "systems-number", "system-horizon-fraction",
+            "k-past-system-horizon", "kappa-below-one",
             "kappas-scalar", "n-fraction", "ks-past-horizon", "alpha-inf", "k-past-horizon",
             "n-rhos-zero", "rho-nan"])
     def test_bad_figure_and_kalman_params_are_config_errors(self, tmp_path, command, params):
@@ -314,6 +349,25 @@ class TestCli:
         path.write_text(json.dumps({"params": params, "n_samples": 100}))
         argv = [command] if command == "kalman" else ["experiment", command]
         assert main(argv + ["--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command, params", [
+        ("perturb", {"a": [[1.0]], "b": [1.0], "eps": 0.1}),
+        ("risk", {"a_star": [[1.0]], "epsilom": 0.1}),
+        ("bounds", {"a_star": [[1.0]], "train": {}}),
+        ("pareto", {"a_star": [[1.0]], "train": {"n_iter": 5}}),
+        ("kalman", {"systems": [{"a": [[1.0]], "c": [[1.0]], "horizn": 2}]}),
+        ("kalman", {"systems": [5]}),
+        ("fig-condition", {"kappa": [1.0]}),
+        ("fig-observability", {"k": 0}),
+        ("fig-kf-vs-adv", {"rho": [0.5]}),
+    ], ids=["perturb", "risk", "bounds-train", "train", "systems-entry", "systems-entry-number",
+            "fig-condition", "fig-observability", "fig-kf-vs-adv"])
+    def test_unknown_param_key_is_config_error(self, tmp_path, capsys, command, params):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": params, "n_samples": 100}))
+        argv = ["experiment", command] if command.startswith("fig-") else [command]
+        assert main(argv + ["--config", str(path)]) == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_integral_float_params_accepted(self):
         def rows(params):
