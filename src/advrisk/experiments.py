@@ -430,6 +430,12 @@ def _run_kalman_bounds(config: ExperimentConfig) -> ResultTable:
     horizon = _horizon(params)
     eps = _epsilon(params)
     stream = RngStream(config.seed, _MC_STREAM)
+    given = [name for name, keys in (("alphas", {"alphas"}), ("systems", {"systems"}),
+                                     ("a top-level system", _SYSTEM_KEYS - {"horizon"}))
+             if keys & params.keys()]
+    if len(given) > 1:
+        raise ConfigError(f"kalman-bounds takes one of alphas, systems or a top-level "
+                          f"system, got {' and '.join(given)}")
     if "alphas" in params:
         systems = [rotation_system(al, horizon=horizon)
                    for al in _numbers(params, "alphas", None)]
@@ -487,6 +493,8 @@ def _run_fig_observability(config: ExperimentConfig) -> ResultTable:
 def _run_fig_kf_vs_adv(config: ExperimentConfig) -> ResultTable:
     params = config.params
     if "rhos" in params:
+        if "n_rhos" in params:
+            raise ConfigError("fig-kf-vs-adv takes rhos or n_rhos, not both")
         rhos = _numbers(params, "rhos", None)
     else:
         count = _number(params.get("n_rhos", 12), "n_rhos", integer=True, low=1)

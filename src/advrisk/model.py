@@ -24,7 +24,9 @@ PSD_TOL = 1e-10
 
 # Philox emits 4 uint64 words per counter increment; one word per double.
 _WORDS_PER_BLOCK = 4
-# Keep uniforms strictly inside (0, 1) so the normal quantile stays finite.
+# Floor on the uniforms so the normal quantile stays finite at 0.  The top end
+# needs no clamp: ``Generator.random`` draws from [0, 1) on a 2**-53 grid, so
+# its largest value is 1 - 2**-53 (a clamp at 1 - 2**-54 would round to 1.0).
 _U_FLOOR = 2.0**-54
 
 
@@ -221,8 +223,8 @@ class RngStream:
         which keeps sample counter blocks aligned (rejection samplers do
         not).
         """
-        u = self.uniform_block(base_index, count, width)
-        return ndtri(np.clip(u, _U_FLOOR, 1.0 - _U_FLOOR))
+        u = np.maximum(self.uniform_block(base_index, count, width), _U_FLOOR)
+        return ndtri(u, out=u)
 
 
 @dataclass(frozen=True, eq=False)

@@ -103,30 +103,46 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float) -> np.ndarray:
     w_top = w[:, gaps <= 0.0].sum(axis=1)
     lo = np.sqrt(w_top) / eps  # f(lo) >= tgt: top terms alone contribute eps^2
     hi = np.sqrt(wsum) / eps  # f(hi) <= tgt: all terms at the top gap
+    # A row stops for good in the sweep that meets its tolerance, with that
+    # sweep's mu, so later sweeps run over the rows still active only.  Row
+    # sums of C-ordered rows round the same whatever rows surround them, so
+    # every root keeps its bits.
+    m = lo.size
+    out = np.empty(m)
+    rows = np.arange(m)
     mu = lo.copy()
-    active = np.ones(mu.shape[0], dtype=bool)
-    for _ in range(MAX_ROOT_ITER):
-        denom = mu[:, None] + gaps[None, :]
-        q = np.where(w > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), 0.0)
-        wqq = w * q * q
-        g = wqq.sum(axis=1) - tgt
-        lo = np.where(g > 0.0, np.maximum(lo, mu), lo)
-        hi = np.where(g < 0.0, np.minimum(hi, mu), hi)
-        active &= np.abs(g) > ROOT_RTOL * tgt
-        active &= (hi - lo) > np.finfo(float).eps * np.maximum(hi, 1e-300)
-        if not active.any():
-            break
-        slope = -2.0 * (wqq * q).sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = mu - g / slope
-        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
-        step = np.where(inside, newton, 0.5 * (lo + hi))
-        mu = np.where(active, step, mu)
-    else:
-        raise np.linalg.LinAlgError(
-            f"secular root did not converge in {MAX_ROOT_ITER} sweeps "
-            f"for {int(active.sum())} of {active.size} rows")
-    return mu
+    # mu >= 0 and gaps >= 0, so a denominator is zero only where mu = 0 meets a
+    # top gap, i.e. in a row whose top weights are all zero; the mask zeroes q
+    # there (1/0 = inf) as on every other zero weight.
+    w_zero = ~(w > 0.0)
+    tol = ROOT_RTOL * tgt
+    spacing = np.finfo(float).eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MAX_ROOT_ITER):
+            q = mu[:, None] + gaps[None, :]
+            np.divide(1.0, q, out=q)
+            np.copyto(q, 0.0, where=w_zero)
+            wqq = w * q
+            wqq *= q
+            g = wqq.sum(axis=1) - tgt
+            np.maximum(lo, mu, out=lo, where=g > 0.0)
+            np.minimum(hi, mu, out=hi, where=g < 0.0)
+            active = (np.abs(g) > tol) & ((hi - lo) > spacing * np.maximum(hi, 1e-300))
+            keep = np.flatnonzero(active)
+            if keep.size < rows.size:
+                out[rows] = mu  # final for the rows stopping now; the rest are rewritten
+            if not keep.size:  # also ends an empty batch
+                return out
+            wqq *= q  # w q^3, the slope's terms
+            newton = mu - g / (-2.0 * wqq.sum(axis=1))
+            if keep.size < rows.size:
+                rows, mu, lo, hi, newton = (v[keep] for v in (rows, mu, lo, hi, newton))
+                w, w_zero = w[keep], w_zero[keep]
+            inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
+            mu = np.where(inside, newton, 0.5 * (lo + hi))
+    raise np.linalg.LinAlgError(
+        f"secular root did not converge in {MAX_ROOT_ITER} sweeps "
+        f"for {rows.size} of {m} rows")
 
 
 def secular_root(weights, sigma_sqs, eps: float) -> float:
@@ -156,6 +172,13 @@ def secular_root(weights, sigma_sqs, eps: float) -> float:
     gaps = top - sq
     mu = _secular_mu(w[None, :], gaps, float(eps))[0]
     return top + float(mu)
+
+
+def _easy_coords(w, bu, s, gaps, eps: float):
+    """Coordinates of delta in the right singular basis, and ``mu``, for easy rows."""
+    mu = _secular_mu(w, gaps, eps)
+    denom = mu[:, None] + gaps[None, :]
+    return np.where(denom > 0.0, -bu * s / np.where(denom > 0.0, denom, 1.0), 0.0), mu
 
 
 def worst_case_batch(a, b_batch: np.ndarray, eps: float):
@@ -218,20 +241,21 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
 
     # components of delta in the right singular basis (first r coordinates;
     # the rest are always zero)
-    coords = np.zeros((m, r))
     if hard.any():
+        coords = np.zeros((m, r))
         coef = np.where(gaps > 0.0, -bu * s / np.where(gaps > 0.0, gaps, 1.0), 0.0)
         extra = np.sqrt(np.maximum(eps * eps - s_low, 0.0))
         j_top = int(np.argmax(top))  # deterministic direction: first top vector
         ch = coef[hard]
         ch[:, j_top] += extra[hard]
         coords[hard] = ch
-    easy = ~hard
-    if easy.any():
-        mu = _secular_mu(w[easy], gaps, eps)
-        denom = mu[:, None] + gaps[None, :]
-        coords[easy] = np.where(denom > 0.0, -bu[easy] * s / np.where(denom > 0.0, denom, 1.0), 0.0)
-        lams[easy] = s1 * s1 + mu
+        easy = ~hard
+        if easy.any():
+            coords[easy], mu = _easy_coords(w[easy], bu[easy], s, gaps, eps)
+            lams[easy] = s1 * s1 + mu
+    else:  # every row easy: solve the batch whole, with no gathers or scatters
+        coords, mu = _easy_coords(w, bu, s, gaps, eps)
+        lams = s1 * s1 + mu
 
     # Objective evaluated in the singular basis: exact for the coordinates.
     gains = (coords * coords) @ (s * s) - 2.0 * ((coords * bu) @ s)

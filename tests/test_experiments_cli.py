@@ -23,6 +23,9 @@ from advrisk.experiments import (
 )
 from advrisk.model import RngStream
 
+# A valid one-state system, as a kalman-bounds `systems` entry.
+_SYSTEM = {"a": [[1.0]], "c": [[1.0]], "horizon": 2}
+
 
 class TestExperimentConfig:
     def test_round_trip(self):
@@ -339,16 +342,25 @@ class TestCli:
         ("fig-kf-vs-adv", {"k": 6, "horizon": 5}),
         ("fig-kf-vs-adv", {"n_rhos": 0}),
         ("fig-kf-vs-adv", {"rhos": [float("nan")]}),
+        ("kalman", {"alphas": [0.95], "systems": [_SYSTEM, dict(_SYSTEM, horizon=3)]}),
+        ("kalman", {"alphas": [0.95], "a": [[1.0]], "c": [[1.0]]}),
+        ("kalman", {"alphas": [0.95], "c": [[1.0]]}),
+        ("kalman", {"systems": [_SYSTEM], "a": [[1.0]], "c": [[1.0]]}),
+        ("fig-kf-vs-adv", {"rhos": [0.5], "n_rhos": 4}),
     ], ids=["k-fraction", "k-string", "horizon-negative", "epsilon-negative", "epsilon-nan",
             "alpha-string", "systems-number", "system-horizon-fraction",
             "k-past-system-horizon", "kappa-below-one",
             "kappas-scalar", "n-fraction", "ks-past-horizon", "alpha-inf", "k-past-horizon",
-            "n-rhos-zero", "rho-nan"])
-    def test_bad_figure_and_kalman_params_are_config_errors(self, tmp_path, command, params):
+            "n-rhos-zero", "rho-nan", "alphas-with-systems", "alphas-with-top-level-system",
+            "alphas-with-top-level-c", "systems-with-top-level-system", "rhos-with-n-rhos"])
+    def test_bad_figure_and_kalman_params_are_config_errors(self, tmp_path, capsys, command,
+                                                            params):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"params": params, "n_samples": 100}))
         argv = [command] if command == "kalman" else ["experiment", command]
         assert main(argv + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command, params", [
         ("perturb", {"a": [[1.0]], "b": [1.0], "eps": 0.1}),

@@ -173,6 +173,17 @@ class TestWorstCasePerturbation:
         monkeypatch.setattr(trs, "MAX_ROOT_ITER", 1)
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             worst_case_batch(rng.standard_normal((3, 3)), rng.standard_normal((5, 3)), 0.5)
+        # After some rows have stopped, the count names the rows still active
+        # at the cap: those that do not converge within it on their own.
+        w = _weights(_mixed_sweep_rows(rng))
+        for cap in (1, 8, 14):
+            monkeypatch.setattr(trs, "MAX_ROOT_ITER", cap)
+            active = sum(not _converges(w[[i, i]]) for i in range(len(w)))
+            assert 0 < active < len(w)
+            assert cap > 1 or active == len(w) - 4  # the top rows stop at sweep 1
+            with pytest.raises(np.linalg.LinAlgError,
+                               match=rf"in {cap} sweeps for {active} of {len(w)} rows"):
+                trs._secular_mu(w, _GAPS, _EPS_SLOW)
 
     def test_batch_shape_checked(self):
         a = np.ones((2, 3))
@@ -182,6 +193,111 @@ class TestWorstCasePerturbation:
             worst_case_batch(a, np.ones((4, 3)), 1.0)
         # the single-vector entry point still reshapes its b
         assert worst_case_perturbation(a, [[1.0], [2.0]], 1.0).delta.shape == (3,)
+
+
+# kappa = 100, n = 16.  The singular vectors of diag(_S) are signed unit
+# vectors, so a row of b is its own coordinates and deltas carry no rounding.
+_S = np.geomspace(1.0, 0.01, 16)
+_GAPS = np.concatenate([[0.0], (_S[0] - _S[1:]) * (_S[0] + _S[1:])])
+_EPS_SLOW = 0.01  # budget at which a small top component needs 15+ sweeps
+# Sub-batches of 2 to 6 rows.  One-row calls are left out: the top-cluster
+# weight of a single row is summed in another order (ROADMAP item 1b).
+_SPLITS = [0, 2, 5, 9, 14, 20]
+
+
+def _weights(b):
+    return (b * _S) ** 2
+
+
+def _converges(w):
+    try:
+        trs._secular_mu(w, _GAPS, _EPS_SLOW)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _mixed_sweep_rows(rng):
+    """20 rows of b, shuffled: 4 along the top singular vector (they stop at
+    sweep 1), 8 with a small top component (some need 15 or more sweeps at
+    _EPS_SLOW; two have none, so their search starts at mu = 0) and 8 generic
+    ones."""
+    top = np.zeros((4, 16))
+    top[:, 0] = rng.uniform(0.5, 2.0, 4)
+    slow = rng.standard_normal((8, 16))
+    slow[:, 0] *= [0.0, 0.0, 1e-2, 1e-2, 1e-2, 1e-2, 1e-2, 1e-2]
+    return rng.permutation(np.vstack([top, slow, rng.standard_normal((8, 16))]))
+
+
+def _hard_easy_rows(rng):
+    """20 rows of b at eps 0.5 ordered so that the _SPLITS sub-batches are
+    all hard, mixed and all easy.  Hard rows are orthogonal to the top
+    singular vector with budget to spare, as in test_hard_case_constructed."""
+    is_hard = np.array(list("HHEHEEHEHEEEEEEHHEEE")) == "H"
+    b = np.zeros((20, 16))
+    b[is_hard, 1:] = 0.02 * rng.standard_normal((7, 15))
+    b[~is_hard] = rng.standard_normal((13, 16))
+    return b
+
+
+def _reference_secular_mu(w, gaps, eps):
+    """The safeguarded Newton root find sweeping every row until the last one
+    stops (a stopped row keeps its mu); the compacted kernel must match it bit
+    for bit."""
+    tgt = eps * eps
+    lo = np.sqrt(w[:, gaps <= 0.0].sum(axis=1)) / eps
+    hi = np.sqrt(w.sum(axis=1)) / eps
+    mu = lo.copy()
+    active = np.ones(mu.shape[0], dtype=bool)
+    for _ in range(trs.MAX_ROOT_ITER):
+        denom = mu[:, None] + gaps[None, :]
+        q = np.where(w > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), 0.0)
+        wqq = w * q * q
+        g = wqq.sum(axis=1) - tgt
+        lo = np.where(g > 0.0, np.maximum(lo, mu), lo)
+        hi = np.where(g < 0.0, np.minimum(hi, mu), hi)
+        active &= np.abs(g) > trs.ROOT_RTOL * tgt
+        active &= (hi - lo) > np.finfo(float).eps * np.maximum(hi, 1e-300)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = mu - g / (-2.0 * (wqq * q).sum(axis=1))
+        inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
+        mu = np.where(active, np.where(inside, newton, 0.5 * (lo + hi)), mu)
+    assert not active.any()
+    return mu
+
+
+class TestActiveRowCompaction:
+    """The root find sweeps only rows still active, so a row's result must not
+    depend on which rows share its batch."""
+
+    def test_secular_roots_keep_their_bits(self, rng):
+        w = _weights(_mixed_sweep_rows(rng))
+        whole = trs._secular_mu(w, _GAPS, _EPS_SLOW)
+        assert np.array_equal(whole, _reference_secular_mu(w, _GAPS, _EPS_SLOW))
+        perm = rng.permutation(len(w))
+        assert np.array_equal(trs._secular_mu(w[perm], _GAPS, _EPS_SLOW), whole[perm])
+        for lo, hi in zip(_SPLITS, _SPLITS[1:]):
+            assert np.array_equal(trs._secular_mu(w[lo:hi], _GAPS, _EPS_SLOW), whole[lo:hi])
+
+    @pytest.mark.parametrize("rows, eps", [(_mixed_sweep_rows, _EPS_SLOW), (_hard_easy_rows, 0.5)],
+                             ids=["mixed-sweeps", "hard-easy"])
+    def test_batch_rows_keep_their_bits(self, rng, rows, eps):
+        a = np.diag(_S)
+        b = rows(rng)
+        whole = worst_case_batch(a, b, eps)
+        if rows is _hard_easy_rows:
+            kinds = {tuple(np.unique(whole[3][lo:hi])) for lo, hi in zip(_SPLITS, _SPLITS[1:])}
+            assert kinds == {(BRANCH_EASY,), (BRANCH_HARD,), (BRANCH_EASY, BRANCH_HARD)}
+        perm = rng.permutation(len(b))
+        parts = [perm] + [np.arange(lo, hi) for lo, hi in zip(_SPLITS, _SPLITS[1:])]
+        for idx in parts:
+            deltas, gains, lams, branches = worst_case_batch(a, b[idx], eps)
+            assert np.array_equal(deltas, whole[0][idx])
+            assert np.array_equal(lams, whole[2][idx])
+            assert np.array_equal(branches, whole[3][idx])
+            # the gain's ``@ (s * s)`` goes through BLAS gemv, whose rounding
+            # at n = 16 may depend on a row's place in the batch
+            assert np.allclose(gains, whole[1][idx], rtol=1e-15, atol=0.0)
 
 
 @given(
