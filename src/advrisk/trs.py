@@ -84,6 +84,12 @@ def svd_full(a) -> SvdFactorization:
     return SvdFactorization(u=u, singular_values=s, v=vt.T)
 
 
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` per row, summed the same way whatever rows share the batch
+    (BLAS gemv rounds by a row's place in the batch)."""
+    return np.einsum("ij,j->i", x, y)
+
+
 def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float) -> np.ndarray:
     """Vectorized root find for f(mu) = sum_i w_i / (mu + gaps_i)^2 = eps^2.
 
@@ -93,14 +99,18 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float) -> np.ndarray:
     quantities, so near-hard instances lose no precision to cancellation.
 
     Requires each row to satisfy f(0+) >= eps^2 (easy-case condition).
-    Safeguarded Newton: f is convex and decreasing, so Newton from the left
-    bracket converges monotonically; steps leaving the bracket bisect.
+    Safeguarded Newton on the reciprocal norm phi(mu) = 1/sqrt(f(mu)) - 1/eps
+    (Moré & Sorensen, 1983): phi is concave and increasing, so Newton from the
+    left bracket converges monotonically, and phi is nearly linear (exactly so
+    for one term), so it needs far fewer sweeps than Newton on f itself.  Steps
+    leaving the bracket bisect.  A row stops once |f - eps^2| <= ROOT_RTOL eps^2
+    or its bracket has shrunk to rounding.
     Raises ``np.linalg.LinAlgError`` if a row has not converged after
     ``MAX_ROOT_ITER`` sweeps.
     """
     tgt = eps * eps
     wsum = w.sum(axis=1)
-    w_top = w[:, gaps <= 0.0].sum(axis=1)
+    w_top = _row_dot(w, np.where(gaps <= 0.0, 1.0, 0.0))
     lo = np.sqrt(w_top) / eps  # f(lo) >= tgt: top terms alone contribute eps^2
     hi = np.sqrt(wsum) / eps  # f(hi) <= tgt: all terms at the top gap
     # A row stops for good in the sweep that meets its tolerance, with that
@@ -124,7 +134,8 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float) -> np.ndarray:
             np.copyto(q, 0.0, where=w_zero)
             wqq = w * q
             wqq *= q
-            g = wqq.sum(axis=1) - tgt
+            f = wqq.sum(axis=1)
+            g = f - tgt
             np.maximum(lo, mu, out=lo, where=g > 0.0)
             np.minimum(hi, mu, out=hi, where=g < 0.0)
             active = (np.abs(g) > tol) & ((hi - lo) > spacing * np.maximum(hi, 1e-300))
@@ -133,8 +144,8 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float) -> np.ndarray:
                 out[rows] = mu  # final for the rows stopping now; the rest are rewritten
             if not keep.size:  # also ends an empty batch
                 return out
-            wqq *= q  # w q^3, the slope's terms
-            newton = mu - g / (-2.0 * wqq.sum(axis=1))
+            wqq *= q  # w q^3: phi'(mu) = f^(-3/2) sum w q^3
+            newton = mu - f * (1.0 - np.sqrt(f) / eps) / wqq.sum(axis=1)
             if keep.size < rows.size:
                 rows, mu, lo, hi, newton = (v[keep] for v in (rows, mu, lo, hi, newton))
                 w, w_zero = w[keep], w_zero[keep]
@@ -155,19 +166,21 @@ def secular_root(weights, sigma_sqs, eps: float) -> float:
     Raises
     ------
     ValueError
-        If all weights are zero (the caller should have taken the
-        degenerate or hard branch).
+        If an input is not finite, or all weights are zero (the caller
+        should have taken the degenerate or hard branch).
     np.linalg.LinAlgError
         If the root find does not converge in ``MAX_ROOT_ITER`` sweeps.
     """
     w = np.atleast_1d(np.asarray(weights, dtype=float))
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    sq = np.broadcast_to(np.asarray(sigma_sqs, dtype=float), w.shape)
+    if not (np.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(sq))):
+        raise ValueError("weights and sigma_sqs must be finite")
     if np.any(w < 0.0):
         raise ValueError("weights must be nonnegative")
     if not np.any(w > 0.0):
         raise ValueError("all weights are zero; no root above sigma_1^2 exists")
-    sq = np.broadcast_to(np.asarray(sigma_sqs, dtype=float), w.shape)
     top = float(sq.max())
     gaps = top - sq
     mu = _secular_mu(w[None, :], gaps, float(eps))[0]
@@ -225,10 +238,10 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
     gaps = np.where(top, 0.0, (s1 - s) * (s1 + s))
     wsum = w.sum(axis=1)
     atb = np.sqrt(wsum)  # ||A'b|| per row
-    w_top = w[:, top].sum(axis=1)
+    w_top = _row_dot(w, np.where(top, 1.0, 0.0))
     if (~top).any():
         inv_sq = np.where(top, 0.0, 1.0 / np.where(gaps > 0.0, gaps, 1.0) ** 2)
-        s_low = w @ inv_sq
+        s_low = _row_dot(w, inv_sq)
     else:
         s_low = np.zeros(m)
 
@@ -258,7 +271,7 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
         lams = s1 * s1 + mu
 
     # Objective evaluated in the singular basis: exact for the coordinates.
-    gains = (coords * coords) @ (s * s) - 2.0 * ((coords * bu) @ s)
+    gains = _row_dot(coords * coords, s * s) - 2.0 * _row_dot(coords * bu, s)
     deltas = coords @ fact.v[:, :r].T
     return deltas, gains, lams, np.where(hard, BRANCH_HARD, BRANCH_EASY)
 

@@ -182,6 +182,14 @@ def _plain_case():
     return np.array([[0.9, 0.2, 0.1], [0.1, 0.7, 0.0]]), pair_sampler(prob)
 
 
+def _plain16_case():
+    # n = 16 with a 12-wide top cluster: the row sums over the cluster, and the
+    # contractions against s and 1/gaps^2, must not depend on the batch split
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((16, 16)))[0]
+    a_star = q * np.concatenate([np.ones(12), [0.5, 0.3, 0.2, 0.1]])
+    return 0.9 * a_star, pair_sampler(make_problem(a_star, eps=0.5))
+
+
 def _rollout_case():
     system = rotation_system(0.95, horizon=3)
     return 1.1 * kalman_estimator(system, 2), partial(simulate_rollouts, system, 2)
@@ -190,8 +198,9 @@ def _rollout_case():
 _COLUMNS = ("sq", "gain", "value", "cross")
 
 
-@pytest.mark.parametrize("case", [_plain_case, _rollout_case], ids=["plain", "rollout"])
-@pytest.mark.parametrize("split", [1, 12_345, _GEN_CHUNK, 39_999])  # 39_999: a 1-row tail
+@pytest.mark.parametrize("case", [_plain_case, _plain16_case, _rollout_case],
+                         ids=["plain", "plain16", "rollout"])
+@pytest.mark.parametrize("split", [1, 2, 7, 12_345, _GEN_CHUNK, 39_999])  # 39_999: a 1-row tail
 def test_engine_split_invariance(case, split):
     # one pass over more than a chunk equals, bit for bit, two passes split
     # at an arbitrary base_index; value is sq + gain exactly

@@ -176,7 +176,7 @@ class TestWorstCasePerturbation:
         # After some rows have stopped, the count names the rows still active
         # at the cap: those that do not converge within it on their own.
         w = _weights(_mixed_sweep_rows(rng))
-        for cap in (1, 8, 14):
+        for cap in (1, 2, 3):
             monkeypatch.setattr(trs, "MAX_ROOT_ITER", cap)
             active = sum(not _converges(w[[i, i]]) for i in range(len(w)))
             assert 0 < active < len(w)
@@ -184,6 +184,19 @@ class TestWorstCasePerturbation:
             with pytest.raises(np.linalg.LinAlgError,
                                match=rf"in {cap} sweeps for {active} of {len(w)} rows"):
                 trs._secular_mu(w, _GAPS, _EPS_SLOW)
+
+    def test_single_term_root_in_one_newton_step(self, monkeypatch):
+        # Each row's weight sits on one coordinate with a positive gap and none
+        # on top, so phi(mu) = (mu + gap) / sqrt(w) - 1/eps is linear: the
+        # Newton step from lo = 0 lands on the root, and the second sweep
+        # accepts it.  Newton on f itself needs many more sweeps here.
+        monkeypatch.setattr(trs, "MAX_ROOT_ITER", 2)
+        gaps = np.array([0.0, 0.5, 2.0, 3.0])
+        cols = np.array([1, 2, 3, 1, 2, 3])
+        w = np.zeros((6, 4))
+        w[np.arange(6), cols] = [1.0, 4.0, 30.0, 0.7, 9.0, 100.0]
+        mu = trs._secular_mu(w, gaps, 0.1)
+        np.testing.assert_allclose(mu, np.sqrt(w.sum(axis=1)) / 0.1 - gaps[cols], rtol=1e-12)
 
     def test_batch_shape_checked(self):
         a = np.ones((2, 3))
@@ -199,10 +212,8 @@ class TestWorstCasePerturbation:
 # vectors, so a row of b is its own coordinates and deltas carry no rounding.
 _S = np.geomspace(1.0, 0.01, 16)
 _GAPS = np.concatenate([[0.0], (_S[0] - _S[1:]) * (_S[0] + _S[1:])])
-_EPS_SLOW = 0.01  # budget at which a small top component needs 15+ sweeps
-# Sub-batches of 2 to 6 rows.  One-row calls are left out: the top-cluster
-# weight of a single row is summed in another order (ROADMAP item 1b).
-_SPLITS = [0, 2, 5, 9, 14, 20]
+_EPS_SLOW = 0.01  # budget at which a small top component needs the most sweeps
+_SPLITS = [0, 1, 2, 5, 9, 14, 19, 20]  # sub-batches of 1 to 5 rows
 
 
 def _weights(b):
@@ -219,9 +230,9 @@ def _converges(w):
 
 def _mixed_sweep_rows(rng):
     """20 rows of b, shuffled: 4 along the top singular vector (they stop at
-    sweep 1), 8 with a small top component (some need 15 or more sweeps at
-    _EPS_SLOW; two have none, so their search starts at mu = 0) and 8 generic
-    ones."""
+    sweep 1), 8 with a small top component (two have none, so their search
+    starts at mu = 0) and 8 generic ones.  At _EPS_SLOW the other rows need 3
+    or 4 sweeps."""
     top = np.zeros((4, 16))
     top[:, 0] = rng.uniform(0.5, 2.0, 4)
     slow = rng.standard_normal((8, 16))
@@ -241,9 +252,9 @@ def _hard_easy_rows(rng):
 
 
 def _reference_secular_mu(w, gaps, eps):
-    """The safeguarded Newton root find sweeping every row until the last one
-    stops (a stopped row keeps its mu); the compacted kernel must match it bit
-    for bit."""
+    """The safeguarded Newton root find on 1/sqrt(f) - 1/eps sweeping every
+    row until the last one stops (a stopped row keeps its mu); the compacted
+    kernel must match it bit for bit."""
     tgt = eps * eps
     lo = np.sqrt(w[:, gaps <= 0.0].sum(axis=1)) / eps
     hi = np.sqrt(w.sum(axis=1)) / eps
@@ -253,13 +264,14 @@ def _reference_secular_mu(w, gaps, eps):
         denom = mu[:, None] + gaps[None, :]
         q = np.where(w > 0.0, 1.0 / np.where(denom > 0.0, denom, 1.0), 0.0)
         wqq = w * q * q
-        g = wqq.sum(axis=1) - tgt
+        f = wqq.sum(axis=1)
+        g = f - tgt
         lo = np.where(g > 0.0, np.maximum(lo, mu), lo)
         hi = np.where(g < 0.0, np.minimum(hi, mu), hi)
         active &= np.abs(g) > trs.ROOT_RTOL * tgt
         active &= (hi - lo) > np.finfo(float).eps * np.maximum(hi, 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = mu - g / (-2.0 * (wqq * q).sum(axis=1))
+            newton = mu - f * (1.0 - np.sqrt(f) / eps) / (wqq * q).sum(axis=1)
         inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
         mu = np.where(active, np.where(inside, newton, 0.5 * (lo + hi)), mu)
     assert not active.any()
@@ -295,9 +307,7 @@ class TestActiveRowCompaction:
             assert np.array_equal(deltas, whole[0][idx])
             assert np.array_equal(lams, whole[2][idx])
             assert np.array_equal(branches, whole[3][idx])
-            # the gain's ``@ (s * s)`` goes through BLAS gemv, whose rounding
-            # at n = 16 may depend on a row's place in the batch
-            assert np.allclose(gains, whole[1][idx], rtol=1e-15, atol=0.0)
+            assert np.array_equal(gains, whole[1][idx])
 
 
 @given(
@@ -334,6 +344,58 @@ def test_kkt_and_feasibility_properties(n, p, eps, seed):
     assert abs(res.objective_gain - direct) <= 1e-10 * scale
     # gain is never negative: delta = 0 is feasible with value 0
     assert res.objective_gain >= -1e-12
+
+
+@given(
+    n=st.integers(2, 6),
+    cluster=st.integers(1, 3),
+    spread=st.sampled_from([0.0, 1e-12, 1e-7]),
+    top_scale=st.sampled_from([0.0, 0.1, 0.9, 1.1, 10.0, 1e3]),
+    budget_used=st.sampled_from([0.1, 0.9, 0.999]),
+    eps=st.sampled_from([0.1, 1.0, 10.0]),
+    seed=st.integers(0, 10_000),
+)
+@settings(max_examples=200, deadline=None)
+def test_kkt_certificates_near_hard_case(n, cluster, spread, top_scale, budget_used, eps,
+                                         seed):
+    # Top singular values clustered within CLUSTER_RTOL (spread 0, 1e-12) or
+    # just outside it (1e-7); the pseudoinverse part spends a share of the
+    # budget; the top-cluster weight is a multiple of the HARD_MARGIN threshold,
+    # so easy rows start their search at mu close to 0.
+    gen = np.random.default_rng(seed)
+    cluster = min(cluster, n)
+    u = np.linalg.qr(gen.standard_normal((n, n)))[0]
+    v = np.linalg.qr(gen.standard_normal((n, n)))[0]
+    s1 = float(gen.uniform(0.5, 2.0))
+    s = np.concatenate([s1 * (1.0 - spread * np.arange(cluster)),
+                        np.sort(gen.uniform(0.1, 0.8, n - cluster))[::-1] * s1])
+    a = (u * s) @ v.T
+    coef = np.zeros(n)  # b in the left singular basis
+    low = np.arange(cluster, n)
+    if low.size:
+        coef[low] = gen.standard_normal(low.size)
+        s_low = np.sum((coef[low] * s[low] / (s1 * s1 - s[low] ** 2)) ** 2)
+        coef[low] *= np.sqrt(budget_used * eps * eps / s_low)
+    top_dir = gen.standard_normal(cluster)
+    top_dir /= np.linalg.norm(top_dir)
+    atb_low = np.linalg.norm(coef * s)
+    coef[:cluster] = top_scale * trs.HARD_MARGIN * (s1 * s1 * eps + atb_low) / s1 * top_dir
+    b = u @ coef
+    res = worst_case_perturbation(a, b, eps)
+
+    sigma1_sq = np.linalg.svd(a, compute_uv=False)[0] ** 2
+    norm = np.linalg.norm(res.delta)
+    assert res.branch in (BRANCH_EASY, BRANCH_HARD)
+    # dual feasibility
+    assert res.dual_lambda >= sigma1_sq * (1.0 - 1e-12)
+    assert norm <= eps * (1.0 + 1e-9)
+    # the ball is exhausted whenever the dual is above sigma_1^2
+    if res.dual_lambda > sigma1_sq * (1.0 + 1e-12):
+        assert abs(norm - eps) <= 1e-9 * eps
+    # stationarity
+    atb = a.T @ b
+    resid = np.linalg.norm((res.dual_lambda * np.eye(n) - a.T @ a) @ res.delta + atb)
+    assert resid <= 1e-8 * (res.dual_lambda * eps + np.linalg.norm(atb))
 
 
 def test_global_optimality_proxy_1000_instances():
@@ -377,6 +439,18 @@ class TestSecularRoot:
     def test_all_zero_weights_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             secular_root([0.0, 0.0], 4.0, 0.5)
+
+    @pytest.mark.parametrize("weights, sigma_sqs, eps", [
+        ([1.0], 4.0, np.nan),
+        ([1.0], 4.0, np.inf),
+        ([1.0, 2.0], [4.0, np.nan], 0.5),
+        ([1.0, 2.0], [np.inf, 1.0], 0.5),
+        ([np.inf, 2.0], [4.0, 1.0], 0.5),
+        ([np.nan, 2.0], [4.0, 1.0], 0.5),
+    ], ids=["eps-nan", "eps-inf", "sigma-nan", "sigma-inf", "weight-inf", "weight-nan"])
+    def test_non_finite_input_rejected(self, weights, sigma_sqs, eps):
+        with pytest.raises(ValueError, match="finite"):
+            secular_root(weights, sigma_sqs, eps)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
