@@ -2,11 +2,12 @@
 """Write a fixed set of experiment CSVs and print one sha256 line per file.
 
 The set is the three quick figures (sizes as in ``reproduce_figures.py
---quick``) plus one config each of ``risk``, ``bounds`` (at a = A* and at
-a != A*), ``pareto`` and ``perturb``, ``kalman-bounds`` at horizon 5, at
-horizon 0 (no process noise in the stacked model) and on two ``systems``
-entries of horizons 3 and 5 with no ``k``, and a ``fig-kf-vs-adv``
-that trains a smoother at an interior ``k < N``.  Running it before
+--quick``) plus ``risk``, ``bounds`` (at a = A* and at a != A*),
+``pareto``, ``perturb`` on an easy row and on a hard one (branch_code 1),
+``kalman-bounds`` at horizon 5, at horizon 0 (no process noise in the
+stacked model) and on two ``systems`` entries of horizons 3 and 5 with no
+``k``, and a ``fig-kf-vs-adv`` that trains a smoother at an interior
+``k < N``.  Running it before
 and after a change that must not alter any number gives two tables that
 should match line for line.  With ``--against TABLE`` (the output of an
 earlier run, saved to a file) it also compares the two tables, names every
@@ -58,6 +59,11 @@ EXTRA = {
                            "train": {"n_iters": 400, "batch_size": 16}}),
     "perturb": dict(kind="perturb",
                     params={"a": _A, "b": [0.3, -1.2, 0.7], "epsilon": 0.5}),
+    # b = 0.1 u_2, u_2 the second left singular vector of _A: b has no top
+    # component and leaves budget to spare, so the row is hard (branch_code 1)
+    "perturb_hard": dict(kind="perturb", params={
+        "a": _A, "b": [0.04664557796997675, -0.06215959809626678, 0.06293150578491996],
+        "epsilon": 0.5}),
 }
 
 

@@ -4,7 +4,9 @@ Subcommands map one-to-one to experiment kinds; ``experiment`` exposes the
 figure-level sweeps.  A JSON config file supplies problem parameters, and
 command-line flags override the generic fields.
 
-Exit codes: 0 success, 2 config error, 3 numerical failure, 4 I/O error.
+Exit codes: 0 success, 2 config error (a config asking for more memory than
+is available included), 3 numerical failure (a NaN in the results
+included), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -90,6 +92,10 @@ def main(argv=None) -> int:
         table = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:
+        print(f"config error: the config asks for more memory than is available ({exc})",
+              file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

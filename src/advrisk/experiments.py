@@ -551,9 +551,15 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Run one experiment; write CSV (and optional SVG) if an output path is set.
 
     The SVG is pure presentation: skipping it never changes the CSV.
+    Raises ``FloatingPointError``, before anything is written, if the table
+    holds a NaN (an infinity is a legal value, e.g. lambda = inf).
     """
     runner, _ = _RUNNERS[config.kind]
     table = runner(config)
+    nan_cols = [name for j, name in enumerate(table.header)
+                if any(math.isnan(row[j]) for row in table.rows)]
+    if nan_cols:
+        raise FloatingPointError(f"{config.kind} produced NaN in {', '.join(nan_cols)}")
     table.metadata = {
         "seed": config.seed,
         "config_hash": config.config_hash(),

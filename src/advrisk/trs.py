@@ -5,10 +5,11 @@
 which is the inner adversary of the adversarial risk: the maximum of
 ``||b - A delta||^2`` over the ball equals ``||b||^2`` plus the optimal value
 here.  Strong duality holds, and the optimal primal-dual pair is recovered
-from the full SVD of ``A`` plus a one-dimensional root find (the secular
-equation) in the generic "easy" case, or a pseudoinverse plus a top
-singular direction in the "hard" case where the dual variable sticks at the
-largest squared singular value.
+from the full SVD of ``A`` and one stationarity formula,
+``(A'A - lambda I) delta = A'b`` with ``||delta|| = eps``.  In the generic
+"easy" case ``lambda`` is the root of the secular equation; in the "hard"
+case it sticks at the largest squared singular value and a top singular
+direction takes up the budget that is left (Moré & Sorensen, 1983).
 
 The solver is vectorized over right-hand sides ``b`` so one factorization
 of ``A`` serves an entire Monte Carlo batch.
@@ -90,13 +91,16 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", x, y)
 
 
-def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float) -> np.ndarray:
+def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
+                wsum: np.ndarray) -> np.ndarray:
     """Vectorized root find for f(mu) = sum_i w_i / (mu + gaps_i)^2 = eps^2.
 
     ``mu = lambda - sigma_1^2`` is the distance of the dual variable above
     the top squared singular value; ``gaps_i = sigma_1^2 - sigma_i^2 >= 0``.
     Working in ``mu`` keeps every denominator an exact sum of nonnegative
     quantities, so near-hard instances lose no precision to cancellation.
+    ``w_top`` and ``wsum`` are each row's weight on the zero gaps and its
+    total weight, which the caller has summed already; they bracket the root.
 
     Requires each row to satisfy f(0+) >= eps^2 (easy-case condition).
     Safeguarded Newton on the reciprocal norm phi(mu) = 1/sqrt(f(mu)) - 1/eps
@@ -109,8 +113,6 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float) -> np.ndarray:
     ``MAX_ROOT_ITER`` sweeps.
     """
     tgt = eps * eps
-    wsum = w.sum(axis=1)
-    w_top = _row_dot(w, np.where(gaps <= 0.0, 1.0, 0.0))
     lo = np.sqrt(w_top) / eps  # f(lo) >= tgt: top terms alone contribute eps^2
     hi = np.sqrt(wsum) / eps  # f(hi) <= tgt: all terms at the top gap
     # A row stops for good in the sweep that meets its tolerance, with that
@@ -183,15 +185,18 @@ def secular_root(weights, sigma_sqs, eps: float) -> float:
         raise ValueError("all weights are zero; no root above sigma_1^2 exists")
     top = float(sq.max())
     gaps = top - sq
-    mu = _secular_mu(w[None, :], gaps, float(eps))[0]
+    w = w[None, :]
+    mu = _secular_mu(w, gaps, float(eps), _row_dot(w, np.where(gaps <= 0.0, 1.0, 0.0)),
+                     w.sum(axis=1))[0]
     return top + float(mu)
 
 
-def _easy_coords(w, bu, s, gaps, eps: float):
-    """Coordinates of delta in the right singular basis, and ``mu``, for easy rows."""
-    mu = _secular_mu(w, gaps, eps)
-    denom = mu[:, None] + gaps[None, :]
-    return np.where(denom > 0.0, -bu * s / np.where(denom > 0.0, denom, 1.0), 0.0), mu
+def _rows_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``x @ y`` rounded as for a row inside a batch: BLAS takes its
+    matrix-vector path for a lone row, so one row is multiplied as two."""
+    if x.shape[0] == 1:
+        return (np.repeat(x, 2, axis=0) @ y)[:1]
+    return x @ y
 
 
 def worst_case_batch(a, b_batch: np.ndarray, eps: float):
@@ -228,52 +233,42 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
     m = b_batch.shape[0]
     r = s.size
     s1 = float(s[0]) if r else 0.0
-    lams = np.full(m, s1 * s1)
     if eps == 0.0 or s1 <= 0.0:  # degenerate: delta = 0
-        return np.zeros((m, fact.n)), np.zeros(m), lams, np.full(m, BRANCH_DEGENERATE)
+        return (np.zeros((m, fact.n)), np.zeros(m), np.full(m, s1 * s1),
+                np.full(m, BRANCH_DEGENERATE))
 
-    bu = b_batch @ fact.u[:, :r]  # (m, r) components b'u_i
+    bu = _rows_matmul(b_batch, fact.u[:, :r])  # (m, r) components b'u_i
     w = (bu * s) ** 2
     top = s >= s1 - CLUSTER_RTOL * max(s1, 1.0)
     gaps = np.where(top, 0.0, (s1 - s) * (s1 + s))
     wsum = w.sum(axis=1)
-    atb = np.sqrt(wsum)  # ||A'b|| per row
     w_top = _row_dot(w, np.where(top, 1.0, 0.0))
-    if (~top).any():
-        inv_sq = np.where(top, 0.0, 1.0 / np.where(gaps > 0.0, gaps, 1.0) ** 2)
-        s_low = _row_dot(w, inv_sq)
-    else:
-        s_low = np.zeros(m)
+    s_low = _row_dot(w, np.where(top, 0.0, 1.0 / np.where(gaps > 0.0, gaps, 1.0) ** 2))
 
     # Hard case: dual sticks at s1^2.  Requires the residual budget after the
     # pseudoinverse component, and a numerically-zero top-cluster weight
     # (otherwise stationarity at s1^2 is violated and the easy root exists).
     hard = (s_low < eps * eps * (1.0 - HARD_MARGIN)) & (
-        np.sqrt(w_top) <= HARD_MARGIN * (s1 * s1 * eps + atb)
+        np.sqrt(w_top) <= HARD_MARGIN * (s1 * s1 * eps + np.sqrt(wsum))
     )
 
-    # components of delta in the right singular basis (first r coordinates;
-    # the rest are always zero)
-    if hard.any():
-        coords = np.zeros((m, r))
-        coef = np.where(gaps > 0.0, -bu * s / np.where(gaps > 0.0, gaps, 1.0), 0.0)
-        extra = np.sqrt(np.maximum(eps * eps - s_low, 0.0))
-        j_top = int(np.argmax(top))  # deterministic direction: first top vector
-        ch = coef[hard]
-        ch[:, j_top] += extra[hard]
-        coords[hard] = ch
-        easy = ~hard
-        if easy.any():
-            coords[easy], mu = _easy_coords(w[easy], bu[easy], s, gaps, eps)
-            lams[easy] = s1 * s1 + mu
-    else:  # every row easy: solve the batch whole, with no gathers or scatters
-        coords, mu = _easy_coords(w, bu, s, gaps, eps)
-        lams = s1 * s1 + mu
+    # mu = lambda - s1^2: the secular root on easy rows, 0 on hard rows.  With
+    # every row easy the batch is solved whole, with no gathers.
+    easy = np.flatnonzero(~hard) if hard.any() else slice(None)
+    mu = np.zeros(m)
+    mu[easy] = _secular_mu(w[easy], gaps, eps, w_top[easy], wsum[easy])
+    # Stationarity gives delta's components in the right singular basis (first
+    # r coordinates; the rest are always zero).  Top components of hard rows
+    # have a zero denominator; the first top direction takes up the budget the
+    # others leave.
+    denom = mu[:, None] + gaps
+    coords = np.where(denom > 0.0, -bu * s / np.where(denom > 0.0, denom, 1.0), 0.0)
+    coords[hard, int(np.argmax(top))] = np.sqrt(np.maximum(eps * eps - s_low[hard], 0.0))
 
     # Objective evaluated in the singular basis: exact for the coordinates.
     gains = _row_dot(coords * coords, s * s) - 2.0 * _row_dot(coords * bu, s)
-    deltas = coords @ fact.v[:, :r].T
-    return deltas, gains, lams, np.where(hard, BRANCH_HARD, BRANCH_EASY)
+    deltas = _rows_matmul(coords, fact.v[:, :r].T)
+    return deltas, gains, s1 * s1 + mu, np.where(hard, BRANCH_HARD, BRANCH_EASY)
 
 
 def worst_case_perturbation(a, b, eps: float) -> PerturbationResult:

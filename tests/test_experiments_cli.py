@@ -254,6 +254,34 @@ class TestCli:
                                                "epsilon": 0.5}}))
         assert main(["perturb", "--config", str(path)]) == 3
 
+    @pytest.mark.parametrize("command, params", [
+        ("perturb", {"a": [[0.9, 0.2], [0.1, 0.7]], "b": [0.3, -1.2], "epsilon": 1e308}),
+        ("risk", {"a_star": [[1e200, 0.0], [0.0, 1.0]]}),
+    ], ids=["perturb-gain", "risk-stderr"])
+    def test_nan_result_is_numerical_failure(self, tmp_path, capsys, command, params):
+        # Overflow makes a NaN here; no table holding one is written or printed.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": params, "n_samples": 100}))
+        out = tmp_path / "res.csv"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 3
+        assert main([command, "--config", str(path)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "NaN" in captured.err
+
+    @pytest.mark.parametrize("command, config", [
+        (["risk"], {"params": {"a_star": [[1.0, 0.0], [0.0, 1.0]]}, "n_samples": 10**15}),
+        (["experiment", "fig-condition"], {"params": {"n": 10**9}}),
+        (["pareto"], {"params": {"a_star": [[1.0, 0.0], [0.0, 1.0]],
+                                 "train": {"batch_size": 10**15}}, "lambda_grid": [0, 1]}),
+    ], ids=["risk-samples", "fig-condition-n", "pareto-batch"])
+    def test_memory_beyond_reach_is_config_error(self, tmp_path, capsys, command, config):
+        # Each first array needs more than 2^48 bytes, so it fails at once.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main([*command, "--config", str(path)]) == 2
+        assert "more memory than is available" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.5), ("n_samples", True), ("output_path", 7),
         pytest.param("output_path", ["x"], id="output_path-list"), ("svg", "no"),

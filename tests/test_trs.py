@@ -183,7 +183,7 @@ class TestWorstCasePerturbation:
             assert cap > 1 or active == len(w) - 4  # the top rows stop at sweep 1
             with pytest.raises(np.linalg.LinAlgError,
                                match=rf"in {cap} sweeps for {active} of {len(w)} rows"):
-                trs._secular_mu(w, _GAPS, _EPS_SLOW)
+                _secular_mu(w, _GAPS, _EPS_SLOW)
 
     def test_single_term_root_in_one_newton_step(self, monkeypatch):
         # Each row's weight sits on one coordinate with a positive gap and none
@@ -195,7 +195,7 @@ class TestWorstCasePerturbation:
         cols = np.array([1, 2, 3, 1, 2, 3])
         w = np.zeros((6, 4))
         w[np.arange(6), cols] = [1.0, 4.0, 30.0, 0.7, 9.0, 100.0]
-        mu = trs._secular_mu(w, gaps, 0.1)
+        mu = _secular_mu(w, gaps, 0.1)
         np.testing.assert_allclose(mu, np.sqrt(w.sum(axis=1)) / 0.1 - gaps[cols], rtol=1e-12)
 
     def test_batch_shape_checked(self):
@@ -220,9 +220,15 @@ def _weights(b):
     return (b * _S) ** 2
 
 
+def _secular_mu(w, gaps, eps):
+    """trs._secular_mu with the bracket sums formed as its callers form them."""
+    return trs._secular_mu(w, gaps, eps, trs._row_dot(w, np.where(gaps <= 0.0, 1.0, 0.0)),
+                           w.sum(axis=1))
+
+
 def _converges(w):
     try:
-        trs._secular_mu(w, _GAPS, _EPS_SLOW)
+        _secular_mu(w, _GAPS, _EPS_SLOW)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -284,18 +290,23 @@ class TestActiveRowCompaction:
 
     def test_secular_roots_keep_their_bits(self, rng):
         w = _weights(_mixed_sweep_rows(rng))
-        whole = trs._secular_mu(w, _GAPS, _EPS_SLOW)
+        whole = _secular_mu(w, _GAPS, _EPS_SLOW)
         assert np.array_equal(whole, _reference_secular_mu(w, _GAPS, _EPS_SLOW))
         perm = rng.permutation(len(w))
-        assert np.array_equal(trs._secular_mu(w[perm], _GAPS, _EPS_SLOW), whole[perm])
+        assert np.array_equal(_secular_mu(w[perm], _GAPS, _EPS_SLOW), whole[perm])
         for lo, hi in zip(_SPLITS, _SPLITS[1:]):
-            assert np.array_equal(trs._secular_mu(w[lo:hi], _GAPS, _EPS_SLOW), whole[lo:hi])
+            assert np.array_equal(_secular_mu(w[lo:hi], _GAPS, _EPS_SLOW), whole[lo:hi])
 
-    @pytest.mark.parametrize("rows, eps", [(_mixed_sweep_rows, _EPS_SLOW), (_hard_easy_rows, 0.5)],
-                             ids=["mixed-sweeps", "hard-easy"])
-    def test_batch_rows_keep_their_bits(self, rng, rows, eps):
-        a = np.diag(_S)
-        b = rows(rng)
+    @pytest.mark.parametrize("rows, eps, dense", [
+        (_mixed_sweep_rows, _EPS_SLOW, False), (_hard_easy_rows, 0.5, False),
+        (_mixed_sweep_rows, _EPS_SLOW, True), (_hard_easy_rows, 0.5, True),
+    ], ids=["mixed-sweeps", "hard-easy", "mixed-sweeps-dense", "hard-easy-dense"])
+    def test_batch_rows_keep_their_bits(self, rng, rows, eps, dense):
+        # Dense: a = Q diag(_S) Q', with the rows of b mapped by Q, so that
+        # b @ U and coords @ V' round (the 1-row sub-batch included).
+        q = np.linalg.qr(rng.standard_normal((16, 16)))[0] if dense else np.eye(16)
+        a = (q * _S) @ q.T
+        b = rows(rng) @ q.T
         whole = worst_case_batch(a, b, eps)
         if rows is _hard_easy_rows:
             kinds = {tuple(np.unique(whole[3][lo:hi])) for lo, hi in zip(_SPLITS, _SPLITS[1:])}
