@@ -2,7 +2,8 @@
 """Write a fixed set of experiment CSVs and print one sha256 line per file.
 
 The set is the three quick figures (sizes as in ``reproduce_figures.py
---quick``) plus ``risk``, ``bounds`` (at a = A* and at a != A*),
+--quick``) plus ``risk`` (also at a size whose last sampling block is one
+row), ``bounds`` (at a = A* and at a != A*),
 ``pareto``, ``perturb`` on an easy row and on a hard one (branch_code 1),
 ``kalman-bounds`` at horizon 5, at horizon 0 (no process noise in the
 stacked model) and on two ``systems`` entries of horizons 3 and 5 with no
@@ -29,11 +30,14 @@ from reproduce_figures import FULL, figure_config
 _A_STAR = [[1.0, 0.3, 0.0], [0.2, 0.8, 0.1], [0.0, -0.4, 0.6]]
 _A = [[0.9, 0.2, 0.1], [0.1, 0.7, 0.0], [0.0, -0.3, 0.5]]
 
-# name -> ExperimentConfig fields; MC sizes exceed one sampling chunk
-# (32 768 rows) so the chunked path is covered.
+# name -> ExperimentConfig fields; MC sizes exceed one sampling block
+# (risk._GEN_CHUNK rows) so the chunked path is covered.
 EXTRA = {
     "risk": dict(kind="risk", n_samples=40_000,
                  params={"a_star": _A_STAR, "a": _A, "epsilon": 0.5}),
+    # one row past a multiple of 4 096 and of 8 192: the pass ends in a 1-row block
+    "risk_1row_tail": dict(kind="risk", n_samples=16_385,
+                           params={"a_star": _A_STAR, "a": _A, "epsilon": 0.5}),
     "bounds_astar": dict(kind="bounds", n_samples=40_000,
                          params={"a_star": _A_STAR, "epsilon": 0.5}),
     "bounds_a": dict(kind="bounds", n_samples=40_000,

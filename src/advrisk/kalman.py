@@ -351,8 +351,11 @@ def simulate_rollouts(
     x0 = z[:, :n] @ l0.T
     w = z[:, n : n + n * horizon] @ lw.T
     v = z[:, n + n * horizon :] @ lv.T
-    ys = x0 @ stacked.obs.T + w @ stacked.toeplitz.T + v
-    xk = x0 @ stacked.a_pow_k.T + w @ stacked.gamma_k.T
+    ys = x0 @ stacked.obs.T
+    ys += w @ stacked.toeplitz.T
+    ys += v
+    xk = x0 @ stacked.a_pow_k.T
+    xk += w @ stacked.gamma_k.T
     return ys, xk
 
 

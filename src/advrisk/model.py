@@ -223,7 +223,8 @@ class RngStream:
         which keeps sample counter blocks aligned (rejection samplers do
         not).
         """
-        u = np.maximum(self.uniform_block(base_index, count, width), _U_FLOOR)
+        u = self.uniform_block(base_index, count, width)
+        np.maximum(u, _U_FLOOR, out=u)
         return ndtri(u, out=u)
 
 
@@ -262,7 +263,8 @@ def sample_batch(
     z = stream.normal_block(base_index, count, n + p)
     xs = z[:, :n] @ lx.T
     ws = z[:, n:] @ lw.T
-    ys = xs @ problem.a_star.T + ws
+    ys = xs @ problem.a_star.T
+    ys += ws
     return SampleBatch(xs=xs, ws=ws, ys=ys, seed=stream.seed, base_index=base_index)
 
 

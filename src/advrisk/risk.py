@@ -19,7 +19,10 @@ from .model import LinearInverseProblem, RngStream, pair_sampler, sharded_sum
 from .trs import SvdFactorization, svd_full, worst_case_batch
 
 DEFAULT_SAMPLES = 100_000
-_GEN_CHUNK = 32_768
+# Rows per Monte Carlo block.  Each block-sized work array holds 4 096 x width
+# doubles (0.5 MB at width 16), so a block's working set stays near the L2
+# cache and a pass's memory does not grow with n_samples.
+_GEN_CHUNK = 4_096
 
 ISOTROPY_TOL = 1e-10
 
@@ -100,7 +103,8 @@ def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):
         # a 1-row matmul takes BLAS's matrix-vector path, which rounds unlike
         # the same row in a larger call: draw and solve 2 rows, keep cnt
         inputs, targets = draw(max(cnt, 2), stream, base_index + start)
-        b = targets - inputs @ a.T
+        b = inputs @ a.T
+        np.subtract(targets, b, out=b)
         cols = {"sq": (b * b).sum(axis=1)}
         if "gain" in out or "value" in out:
             cols["gain"] = worst_case_batch(fact, b, eps)[1]

@@ -220,6 +220,12 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
         Dual variables.
     branches : ndarray of int, shape (m,)
         ``BRANCH_EASY``, ``BRANCH_HARD`` or ``BRANCH_DEGENERATE`` per row.
+
+    Raises
+    ------
+    FloatingPointError
+        If a row's weights ``(b'u_i sigma_i)^2`` overflow, which leaves no
+        finite gain to report.
     """
     fact = a if isinstance(a, SvdFactorization) else svd_full(a)
     b_batch = np.asarray(b_batch, dtype=float)
@@ -242,6 +248,8 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
     top = s >= s1 - CLUSTER_RTOL * max(s1, 1.0)
     gaps = np.where(top, 0.0, (s1 - s) * (s1 + s))
     wsum = w.sum(axis=1)
+    if not np.all(np.isfinite(wsum)):
+        raise FloatingPointError("inner-adversary weights overflow: residual too large")
     w_top = _row_dot(w, np.where(top, 1.0, 0.0))
     s_low = _row_dot(w, np.where(top, 0.0, 1.0 / np.where(gaps > 0.0, gaps, 1.0) ** 2))
 

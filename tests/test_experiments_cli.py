@@ -338,6 +338,19 @@ class TestCli:
         path.write_text(json.dumps({"params": params, "n_samples": 100}))
         assert main([command, "--config", str(path)]) == 2
 
+    def test_overflowing_weights_are_numerical_failure(self, tmp_path, capsys):
+        # the true gain is about 2e160; inf weights must not report a gain of 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"a": [[2.0, 0.0], [0.0, 1.0]],
+                                               "b": [1e160, 0.0], "epsilon": 0.5}}))
+        out = tmp_path / "res.csv"
+        with np.errstate(over="ignore"):
+            assert main(["perturb", "--config", str(path), "--out", str(out)]) == 3
+            assert main(["perturb", "--config", str(path)]) == 3
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflow" in captured.err
+
     @pytest.mark.parametrize("content", [b"[1, 2]", b'"risk"', b'{"seed": "\xff"}'],
                              ids=["array", "string", "not-utf8"])
     def test_config_file_not_an_object_is_config_error(self, tmp_path, content):

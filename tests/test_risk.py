@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -200,7 +201,10 @@ _COLUMNS = ("sq", "gain", "value", "cross")
 
 @pytest.mark.parametrize("case", [_plain_case, _plain16_case, _rollout_case],
                          ids=["plain", "plain16", "rollout"])
-@pytest.mark.parametrize("split", [1, 2, 7, 12_345, _GEN_CHUNK, 39_999])  # 39_999: a 1-row tail
+# _GEN_CHUNK + 1: the head pass ends in a 1-row block; 32_768: a block boundary
+# past the first block; 39_999: a 1-row tail
+@pytest.mark.parametrize("split", [1, 2, 7, 12_345, _GEN_CHUNK, _GEN_CHUNK + 1, 32_768,
+                                   39_999])
 def test_engine_split_invariance(case, split):
     # one pass over more than a chunk equals, bit for bit, two passes split
     # at an arbitrary base_index; value is sq + gain exactly
@@ -215,3 +219,17 @@ def test_engine_split_invariance(case, split):
         assert np.array_equal(whole[key], np.concatenate([head[key], tail[key]])), key
     assert np.array_equal(whole["value"], whole["sq"] + whole["gain"])
     assert np.all(whole["gain"] > 0.0)
+
+
+def test_engine_memory_is_bounded_by_the_block():
+    # Block-sized temporaries scale with _GEN_CHUNK * width, not n_samples:
+    # one n = 16, 100 000-sample pass holds its four 0.8 MB output columns
+    # and a few blocks' worth of work arrays, well under 16 MB.
+    a, draw = _plain16_case()
+    tracemalloc.start()
+    try:
+        _mc_columns(a, draw, 100_000, RngStream(5), 0, 0.5, _COLUMNS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB"

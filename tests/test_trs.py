@@ -198,6 +198,14 @@ class TestWorstCasePerturbation:
         mu = _secular_mu(w, gaps, 0.1)
         np.testing.assert_allclose(mu, np.sqrt(w.sum(axis=1)) / 0.1 - gaps[cols], rtol=1e-12)
 
+    @pytest.mark.parametrize("b", [[1e160, 0.0], [0.0, 1e160]], ids=["top", "low"])
+    def test_overflowing_weights_raise(self, b):
+        # (b'u_i sigma_i)^2 overflows to inf: a silent easy row with delta = 0,
+        # gain 0 and lambda = inf would be wrong, since the true gain is at
+        # least 2 eps ||A'b|| >= 1e160
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="overflow"):
+            worst_case_batch(np.diag([2.0, 1.0]), np.array([b, [1.0, 1.0]]), 0.5)
+
     def test_batch_shape_checked(self):
         a = np.ones((2, 3))
         with pytest.raises(ValueError, match=r"\(m, 2\)"):
