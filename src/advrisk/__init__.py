@@ -16,7 +16,6 @@ from .model import (
 from .trs import (
     PerturbationResult,
     SvdFactorization,
-    secular_root,
     svd_full,
     worst_case_batch,
     worst_case_perturbation,
@@ -29,13 +28,11 @@ from .risk import (
     astar_gap_bounds,
     gap_bounds_mc,
     standard_risk_closed,
-    standard_risk_mc,
 )
 from .training import (
     EstimationProblem,
     ParetoPoint,
     TrainConfig,
-    adversarial_loss_grad,
     pareto_trace,
     problem_adapter,
     train,
@@ -59,7 +56,6 @@ from .kalman import (
     kalman_gap_lower_bound,
     kalman_gap_upper_bound,
     observability_gramian,
-    r_factor,
     recursive_kf,
     residual_covariance,
     simulate_rollouts,

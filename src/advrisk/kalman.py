@@ -13,6 +13,7 @@ the gramian's spectrum.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -24,13 +25,11 @@ from .model import (
     frozen_array,
     validate_covariance,
 )
-from .risk import RiskEstimate, isotropic_scale, mc_mean
+from .risk import RiskEstimate, mc_mean
 from .training import EstimationProblem
 
 REGIME_HIGH = "high_observability"
 REGIME_LOW = "low_observability"
-
-ISOTROPY_ATOL = 1e-9
 
 _HALF_NORMAL = np.sqrt(2.0 / np.pi)
 
@@ -70,6 +69,14 @@ class LtiSystem:
                 raise ValueError(f"{name} is {spec.dim}x{spec.dim}, expected {dim}x{dim}")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
+        # The stacked noise blocks, (nN)^2 and (p(N+1))^2 doubles, are built
+        # twice (covariances and colouring factors); a horizon whose blocks
+        # cannot fit in physical memory is refused before any is built.
+        need = 16 * ((n * self.horizon) ** 2 + (c.shape[0] * (self.horizon + 1)) ** 2)
+        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        if need > ram:
+            raise MemoryError(f"horizon {self.horizon} needs {need / 2**30:.3g} GiB of stacked "
+                              f"arrays, more than the {ram / 2**30:.3g} GiB of physical memory")
 
     @classmethod
     def from_matrices(cls, a, c, sigma0, sigma_w, sigma_v, horizon) -> "LtiSystem":
@@ -133,15 +140,6 @@ def _stacked_noise(initial, process, measurement, horizon: int):
                                  np.kron(np.eye(horizon + 1), measurement)))
 
 
-def detect_isotropy(system: LtiSystem, atol: float = ISOTROPY_ATOL) -> float | None:
-    """Return ``rho`` if all covariances are isotropic and ``A'A = rho^2 I``
-    (the simplified-bound regime), else None."""
-    mats = (system.sigma0.matrix, system.sigma_w.matrix, system.sigma_v.matrix,
-            system.a.T @ system.a)
-    scales = [isotropic_scale(m, atol) for m in mats]
-    return None if None in scales else float(np.sqrt(scales[-1]))
-
-
 @dataclass(frozen=True, eq=False)
 class StackedModel:
     """Stacked matrices for horizon ``N`` and estimation index ``k``.
@@ -154,7 +152,6 @@ class StackedModel:
     toeplitz: np.ndarray
     gamma_k: np.ndarray
     a_pow_k: np.ndarray
-    k: int
 
 
 def _powers(a: np.ndarray, top: int) -> list[np.ndarray]:
@@ -188,7 +185,7 @@ def build_stacked(system: LtiSystem, k: int) -> StackedModel:
     gamma_k = np.zeros((n, n * horizon))
     for j in range(k):
         gamma_k[:, j * n : (j + 1) * n] = pows[k - 1 - j]
-    return StackedModel(obs=obs, toeplitz=toeplitz, gamma_k=gamma_k, a_pow_k=pows[k], k=k)
+    return StackedModel(obs=obs, toeplitz=toeplitz, gamma_k=gamma_k, a_pow_k=pows[k])
 
 
 @dataclass(frozen=True, eq=False)
@@ -431,14 +428,6 @@ def gap_upper_bound_general(l, system: LtiSystem, k: int, epsilon: float) -> flo
     return 2.0 * epsilon * spec_norm * root_fro + epsilon * epsilon * spec_norm * spec_norm
 
 
-def r_factor(rho: float, k: int) -> float:
-    """Geometric accumulation ``sum_{j=0}^{k-1} rho^(2j)``; equals ``k`` at
-    ``rho = 1`` and is continuous in ``rho``."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return float(sum(rho ** (2 * j) for j in range(k)))
-
-
 def _state_noise_matrix(system: LtiSystem, k: int) -> np.ndarray:
     """``A^k Sigma_0 (A^k)' + sum_{i=1}^k A^{k-i} Sigma_w (A^{k-i})'``."""
     pows = _powers(system.a, k)
@@ -465,7 +454,7 @@ def kalman_gap_lower_bound(system: LtiSystem, k: int, epsilon: float) -> float:
     exploits.  The state-noise factor is computed as an exact minimum
     eigenvalue, so the bound applies to arbitrary dynamics; under isotropic
     covariances with scaled-orthogonal dynamics it reduces to
-    ``rho^(2k) sigma_0^2 + r_factor(rho, k) sigma_w^2``.
+    ``rho^(2k) sigma_0^2 + sigma_w^2 sum_{j=0}^{k-1} rho^(2j)``.
     """
     _check_k(system, k)
     gram = system.gramian
@@ -526,7 +515,6 @@ class EstimatorBoundReport:
     gap_upper_general: float
     kalman_gap_lower: float | None
     kalman_gap_upper: float | None
-    assumption_isotropic: bool
 
 
 def bound_report(
@@ -544,7 +532,6 @@ def bound_report(
         gap_upper_general=upper,
         kalman_gap_lower=kalman_gap_lower_bound(system, k, epsilon) if at_nominal else None,
         kalman_gap_upper=kalman_gap_upper_bound(system, k, epsilon)[0] if at_nominal else None,
-        assumption_isotropic=detect_isotropy(system) is not None,
     )
 
 

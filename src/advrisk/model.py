@@ -191,10 +191,6 @@ class RngStream:
     seed: int
     stream_id: int = 0
 
-    def child(self, stream_id: int) -> "RngStream":
-        """Derived stream with a different id on the same seed."""
-        return RngStream(seed=self.seed, stream_id=stream_id)
-
     @cached_property
     def _seeded(self) -> tuple[Generator, dict]:
         """The kept generator and the state it was seeded with."""
@@ -235,8 +231,6 @@ class SampleBatch:
     xs: np.ndarray
     ws: np.ndarray
     ys: np.ndarray
-    seed: int
-    base_index: int
 
     @property
     def count(self) -> int:
@@ -265,7 +259,7 @@ def sample_batch(
     ws = z[:, n:] @ lw.T
     ys = xs @ problem.a_star.T
     ys += ws
-    return SampleBatch(xs=xs, ws=ws, ys=ys, seed=stream.seed, base_index=base_index)
+    return SampleBatch(xs=xs, ws=ws, ys=ys)
 
 
 def pair_sampler(problem: LinearInverseProblem):

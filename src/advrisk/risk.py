@@ -44,8 +44,9 @@ class GapBounds:
     For the Monte Carlo variant both bounds share ``cross_term`` (an
     estimate of ``E ||A'(y - Ax)||``) and differ only in which extreme
     eigenvalue of ``A'A`` multiplies ``eps^2``.  For the closed-form
-    variant at the ground truth with isotropic noise, the upper bound uses
-    its own (Jensen) cross coefficient, recorded in ``cross_term_upper``.
+    variant at the ground truth with isotropic noise, ``cross_term`` is the
+    lower bound's cross coefficient and the upper bound uses its own
+    (Jensen) one.
     """
 
     lower: float
@@ -54,7 +55,6 @@ class GapBounds:
     lambda_max: float
     cross_term: float
     cross_term_stderr: float = 0.0
-    cross_term_upper: float | None = None
 
 
 def mc_estimate(values: np.ndarray, seed: int) -> RiskEstimate:
@@ -122,17 +122,6 @@ def mc_mean(a, draw, n_samples, stream, base_index, eps, column) -> RiskEstimate
     return mc_estimate(out[column], stream.seed)
 
 
-def standard_risk_mc(
-    a,
-    problem: LinearInverseProblem,
-    n_samples: int = DEFAULT_SAMPLES,
-    stream: RngStream = RngStream(0),
-    base_index: int = 0,
-) -> RiskEstimate:
-    """Monte Carlo ``E ||y - Ax||^2`` on the given stream (for cross-checks)."""
-    return mc_mean(a, pair_sampler(problem), n_samples, stream, base_index, 0.0, "sq")
-
-
 def adversarial_risk_mc(
     a,
     problem: LinearInverseProblem,
@@ -191,11 +180,11 @@ def gap_bounds_mc(
     )
 
 
-def isotropic_scale(cov: np.ndarray, tol: float = ISOTROPY_TOL) -> float | None:
-    """Return ``c`` if ``cov == c * I`` within ``tol``, else None."""
+def isotropic_scale(cov: np.ndarray) -> float | None:
+    """Return ``c`` if ``cov == c * I`` within ``ISOTROPY_TOL``, else None."""
     cov = np.asarray(cov, dtype=float)
     c = float(np.trace(cov)) / cov.shape[0]
-    if np.abs(cov - c * np.eye(cov.shape[0])).max() > tol:
+    if np.abs(cov - c * np.eye(cov.shape[0])).max() > ISOTROPY_TOL:
         return None
     return c
 
@@ -226,7 +215,6 @@ def astar_gap_bounds(problem: LinearInverseProblem) -> GapBounds:
         lambda_max=lam_max,
         cross_term=cross_lower,
         cross_term_stderr=0.0,
-        cross_term_upper=cross_upper,
     )
 
 

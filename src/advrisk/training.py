@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import LinearInverseProblem, RngStream, TrainingDivergedError, pair_sampler
 from .risk import RiskEstimate, adversarial_risk_mc, standard_risk_closed, with_epsilon
-from .trs import worst_case_batch, worst_case_perturbation
+from .trs import worst_case_batch
 
 DIVERGENCE_NORM = 1e6
 
@@ -126,22 +126,6 @@ def _init_matrix(config: TrainConfig, adapter: EstimationProblem) -> np.ndarray:
     if config.init == "zeros":
         return np.zeros(adapter.nominal.shape)
     raise ValueError(f"unknown init {config.init!r}")
-
-
-def adversarial_loss_grad(a, x, y, eps: float) -> np.ndarray:
-    """Envelope gradient of the pointwise-max loss at one sample.
-
-    Solves the inner adversary for ``delta*`` and returns
-    ``-2 (y - A(x + delta*)) (x + delta*)'``; valid because the maximizer is
-    held fixed under differentiation of the max-value function.
-    """
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    res = worst_case_perturbation(a, y - a @ x, eps)
-    z = x + res.delta
-    r = y - a @ z
-    return -2.0 * np.outer(r, z)
 
 
 def _ar_batch_grad(a, xs, ys, eps: float) -> np.ndarray:

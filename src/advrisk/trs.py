@@ -54,11 +54,6 @@ class SvdFactorization:
     def n(self) -> int:
         return self.v.shape[0]
 
-    def matrix(self) -> np.ndarray:
-        """Reassemble the factored matrix."""
-        r = self.singular_values.size
-        return (self.u[:, :r] * self.singular_values) @ self.v[:, :r].T
-
 
 @dataclass(frozen=True, eq=False)
 class PerturbationResult:
@@ -156,39 +151,6 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
     raise np.linalg.LinAlgError(
         f"secular root did not converge in {MAX_ROOT_ITER} sweeps "
         f"for {rows.size} of {m} rows")
-
-
-def secular_root(weights, sigma_sqs, eps: float) -> float:
-    """Dual variable of the easy case: the unique root above ``max(sigma_sqs)``.
-
-    Solves ``sum_i weights_i / (lam - sigma_sqs_i)^2 = eps^2`` where
-    ``weights_i = (b'u_i)^2 sigma_i^2``.  ``sigma_sqs`` may be a scalar when
-    all terms share one squared singular value.
-
-    Raises
-    ------
-    ValueError
-        If an input is not finite, or all weights are zero (the caller
-        should have taken the degenerate or hard branch).
-    np.linalg.LinAlgError
-        If the root find does not converge in ``MAX_ROOT_ITER`` sweeps.
-    """
-    w = np.atleast_1d(np.asarray(weights, dtype=float))
-    sq = np.broadcast_to(np.asarray(sigma_sqs, dtype=float), w.shape)
-    if not (np.isfinite(eps) and eps > 0.0):
-        raise ValueError(f"eps must be finite and positive, got {eps}")
-    if not (np.all(np.isfinite(w)) and np.all(np.isfinite(sq))):
-        raise ValueError("weights and sigma_sqs must be finite")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    if not np.any(w > 0.0):
-        raise ValueError("all weights are zero; no root above sigma_1^2 exists")
-    top = float(sq.max())
-    gaps = top - sq
-    w = w[None, :]
-    mu = _secular_mu(w, gaps, float(eps), _row_dot(w, np.where(gaps <= 0.0, 1.0, 0.0)),
-                     w.sum(axis=1))[0]
-    return top + float(mu)
 
 
 def _rows_matmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -3,9 +3,12 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from advrisk import trs
@@ -282,6 +285,31 @@ class TestCli:
         assert main([*command, "--config", str(path)]) == 2
         assert "more memory than is available" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, params", [
+        (["kalman"], {"alphas": [0.95]}),
+        (["experiment", "fig-observability"], {"alphas": [0.95], "train": {"n_iters": 3}}),
+        (["experiment", "fig-kf-vs-adv"], {"rhos": [0.5], "train": {"n_iters": 3}}),
+    ], ids=["kalman-bounds", "fig-observability", "fig-kf-vs-adv"])
+    def test_huge_horizon_is_config_error_before_allocating(self, tmp_path, capsys, command,
+                                                            params):
+        path = tmp_path / "cfg.json"
+
+        def run(horizon):
+            path.write_text(json.dumps({"params": dict(params, horizon=horizon),
+                                        "n_samples": 10, "lambda_grid": [0.0]}))
+            return main([*command, "--config", str(path)])
+
+        tracemalloc.start()
+        try:
+            rc = run(10**9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert rc == 2 and "config error" in err and "Traceback" not in err
+        assert peak < 10 * 2**20
+        assert run(200) == 0
+
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.5), ("n_samples", True), ("output_path", 7),
         pytest.param("output_path", ["x"], id="output_path-list"), ("svg", "no"),
@@ -467,3 +495,72 @@ class TestCli:
         table = read_result_table(out)
         assert "ar_kf_mean" in table.header and "ar_adv_mean" in table.header
         assert (tmp_path / "fig.svg").exists()
+
+
+# Valid tiny configs, one per kind: every size that sets the run time is small.
+_TINY_TRAIN = {"n_iters": 3, "batch_size": 4}
+_TINY_PROBLEM = {"a_star": [[1.0, 0.3], [0.0, 0.8]], "a": [[0.9, 0.2], [0.1, 0.7]],
+                 "epsilon": 0.5}
+_TINY = {
+    "perturb": {"params": {"a": [[2.0, 0.1], [0.0, 1.0]], "b": [0.3, -1.0], "epsilon": 0.5}},
+    "risk": {"params": _TINY_PROBLEM},
+    "bounds": {"params": _TINY_PROBLEM},
+    "pareto": {"params": {"a_star": [[1.0, 0.3], [0.0, 0.8]], "epsilon": 0.5,
+                          "train": _TINY_TRAIN}},
+    "kalman-bounds": {"params": {"alphas": [0.95, 0.99], "k": 1, "horizon": 2,
+                                 "epsilon": 0.5}},
+    "fig-condition": {"params": {"kappas": [1.0, 10.0], "n": 2, "epsilon": 0.5,
+                                 "train": _TINY_TRAIN}},
+    "fig-observability": {"params": {"alphas": [0.95, 0.99], "ks": [0, 2], "horizon": 2,
+                                     "epsilon": 0.5, "train": _TINY_TRAIN}},
+    "fig-kf-vs-adv": {"params": {"rhos": [0.5, 1.0], "k": 0, "horizon": 2, "epsilon": 0.5,
+                                 "train": _TINY_TRAIN}},
+}
+_COMMAND = {kind: ["kalman"] if kind == "kalman-bounds" else
+            ["experiment", kind] if kind.startswith("fig-") else [kind] for kind in _TINY}
+# Values that are wrong for most keys.  None of them is a large finite
+# integral number: one such in n_iters or n_rhos would be a valid, endless run.
+_BAD = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.builds(dict),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1, -2.5, 0, 0.5, 2.5, 1e-300]),
+    st.lists(st.sampled_from([0, 1, -1, 0.5, math.nan, math.inf, "x"]), max_size=2),
+)
+# Sizes far past any memory: the first array they ask for fails at once.
+_HUGE = st.sampled_from([10**15, 2**62, 2**64, 10**30])
+_SIZE_KEYS = {"n_samples", "n", "horizon", "batch_size"}
+_GRIDS = st.sampled_from([[], [1.0, 0.0], [math.inf, 0.0], [math.nan], [0.0, -1.0], "x"])
+
+
+def _corruptions(kind):
+    """``(where, key, value)``: ``where`` is "top", "params" or "train"."""
+    keys = [("top", key) for key in ("seed", "n_samples", "lambda_grid", "output_path", "svg")]
+    keys += [("params", key) for key in sorted(_TINY[kind]["params"])]
+    keys += [("train", key) for key in sorted(_TINY_TRAIN) if "train" in _TINY[kind]["params"]]
+
+    def values(where_key):
+        where, key = where_key
+        if key == "lambda_grid":
+            return st.one_of(_GRIDS, _BAD)
+        if key == "output_path":  # never a string: the run must write no file
+            return _BAD.filter(lambda v: not isinstance(v, str))
+        return st.one_of(_HUGE, _BAD) if key in _SIZE_KEYS else _BAD
+
+    return st.lists(st.sampled_from(keys).flatmap(
+        lambda wk: st.tuples(st.just(wk[0]), st.just(wk[1]), values(wk))), max_size=2)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), kind=st.sampled_from(sorted(_TINY)))
+def test_fuzzed_configs_exit_cleanly(tmp_path, capsys, data, kind):
+    config = json.loads(json.dumps(_TINY[kind]))
+    config.update(seed=1, n_samples=64, lambda_grid=[0.0, 0.3, math.inf])
+    for where, key, value in data.draw(_corruptions(kind)):
+        target = {"top": config, "params": config["params"],
+                  "train": config["params"].get("train")}[where]
+        if isinstance(target, dict):  # a corrupted train block takes no keys
+            target[key] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert main([*_COMMAND[kind], "--config", str(path)]) in (0, 2, 3, 4)
+    assert "Traceback" not in capsys.readouterr().err

@@ -7,7 +7,6 @@ from advrisk.kalman import (
     as_estimation_problem,
     bound_report,
     build_stacked,
-    detect_isotropy,
     estimator_ar_mc,
     estimator_gap_mc,
     estimator_sr_closed,
@@ -19,7 +18,6 @@ from advrisk.kalman import (
     kalman_gap_lower_bound,
     kalman_gap_upper_bound,
     observability_gramian,
-    r_factor,
     recursive_kf,
     residual_covariance,
     simulate_rollouts,
@@ -335,23 +333,9 @@ class TestGapBounds:
         system = rotation_system(0.98, horizon=5)
         report = bound_report(system, 5, 0.5)
         assert report.kalman_gap_lower is not None and report.kalman_gap_upper is not None
-        assert report.assumption_isotropic
         assert report.gap_lower_frobenius <= report.gap_lower_general
         custom = bound_report(system, 5, 0.5, l=np.zeros((2, 6)))
         assert custom.kalman_gap_lower is None and custom.kalman_gap_upper is None
-
-
-def test_r_factor_values():
-    assert r_factor(1.0, 4) == 4.0
-    assert r_factor(0.5, 3) == 1.0 + 0.25 + 0.0625
-    assert r_factor(0.3, 0) == 0.0
-    assert abs(r_factor(1.0 - 1e-9, 6) - 6.0) < 1e-6
-
-
-def test_detect_isotropy():
-    assert np.isclose(detect_isotropy(rotation_system(0.95)), 1.0)
-    skew = make_system(np.array([[0.9, 0.5], [0.0, 0.2]]), np.eye(2))
-    assert detect_isotropy(skew) is None
 
 
 class TestEstimationAdapter:

@@ -135,10 +135,6 @@ class TestRngStream:
             )
             assert np.array_equal(whole, parts)
 
-    def test_child(self):
-        s = RngStream(5, 1)
-        assert s.child(8) == RngStream(5, 8)
-
 
 def _reference_normals(seed, stream_id, base_index, count, width):
     """Normals of ``RngStream(seed, stream_id).normal_block`` from a freshly

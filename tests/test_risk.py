@@ -14,8 +14,8 @@ from advrisk.risk import (
     ar_sr_gap_mc,
     astar_gap_bounds,
     gap_bounds_mc,
+    mc_mean,
     standard_risk_closed,
-    standard_risk_mc,
     with_epsilon,
 )
 from conftest import random_spd
@@ -43,7 +43,7 @@ class TestStandardRiskClosed:
                             sigma_w=random_spd(rng, 3, 0.3))
         a = rng.standard_normal((3, 2))
         closed = standard_risk_closed(a, prob)
-        mc = standard_risk_mc(a, prob, 60_000, RngStream(1))
+        mc = mc_mean(a, pair_sampler(prob), 60_000, RngStream(1), 0, 0.0, "sq")
         assert abs(mc.mean - closed) <= 3 * mc.std_error
 
     def test_dimension_mismatch(self):
@@ -57,7 +57,7 @@ class TestAdversarialRiskMc:
         prob = make_problem(rng.standard_normal((2, 3)), eps=0.0)
         a = rng.standard_normal((2, 3))
         ar = adversarial_risk_mc(a, prob, 5000, RngStream(2))
-        sr = standard_risk_mc(a, prob, 5000, RngStream(2))
+        sr = mc_mean(a, pair_sampler(prob), 5000, RngStream(2), 0, 0.0, "sq")
         assert ar.mean == sr.mean and ar.std_error == sr.std_error
 
     def test_all_zero_model(self):
@@ -166,7 +166,7 @@ def test_crn_variance_reduction(rng):
     n = 20_000
     crn = ar_sr_gap_mc(a, prob, n, RngStream(100))
     ar_est = adversarial_risk_mc(a, prob, n, RngStream(200))
-    sr_est = standard_risk_mc(a, prob, n, RngStream(300))
+    sr_est = mc_mean(a, pair_sampler(prob), n, RngStream(300), 0, 0.0, "sq")
     indep_var = ar_est.std_error**2 + sr_est.std_error**2
     assert crn.std_error**2 / indep_var < 1.0
 

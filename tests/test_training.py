@@ -4,16 +4,17 @@ import numpy as np
 import pytest
 
 from advrisk.kalman import as_estimation_problem, kalman_estimator
-from advrisk.experiments import rotation_system
+from advrisk.experiments import rotation_system, shear_system
 from advrisk.model import LinearInverseProblem, RngStream, TrainingDivergedError
 from advrisk.risk import adversarial_risk_mc, standard_risk_closed
 from advrisk.training import (
     TrainConfig,
-    adversarial_loss_grad,
+    _ar_batch_grad,
     pareto_trace,
     problem_adapter,
     train,
 )
+from advrisk.trs import worst_case_batch
 
 
 def make_problem(a_star, eps=0.5, sigma_x=None, sigma_w_scale=0.1):
@@ -24,45 +25,71 @@ def make_problem(a_star, eps=0.5, sigma_x=None, sigma_w_scale=0.1):
     )
 
 
+def _worst_case_mean_loss(a, xs, ys, eps):
+    """Batch mean of the worst-case loss ``||b||^2 + gain`` with ``b = y - A x``."""
+    b = ys - xs @ a.T
+    return float(np.mean((b * b).sum(axis=1) + worst_case_batch(a, b, eps)[1]))
+
+
+def _central_difference(loss, a, h):
+    numeric = np.zeros_like(a)
+    for idx in np.ndindex(*a.shape):
+        basis = np.zeros_like(a)
+        basis[idx] = h
+        numeric[idx] = (loss(a + basis) - loss(a - basis)) / (2 * h)
+    return numeric
+
+
 class TestAdversarialLossGrad:
+    """The envelope gradient ``_ar_batch_grad`` that SGD steps along."""
+
     def test_zero_budget_is_least_squares_gradient(self, rng):
         a = rng.standard_normal((3, 2))
         x = rng.standard_normal(2)
         y = rng.standard_normal(3)
-        grad = adversarial_loss_grad(a, x, y, 0.0)
+        grad = _ar_batch_grad(a, x[None, :], y[None, :], 0.0)
         assert np.allclose(grad, -2.0 * np.outer(y - a @ x, x), atol=1e-12)
 
     def test_zero_residual_zero_gradient(self):
         # only the degenerate model keeps the worst-case residual at zero
         a = np.zeros((2, 2))
-        grad = adversarial_loss_grad(a, np.array([1.0, 2.0]), np.zeros(2), 0.5)
+        grad = _ar_batch_grad(a, np.array([[1.0, 2.0]]), np.zeros((1, 2)), 0.5)
         assert np.allclose(grad, 0.0)
 
     def test_matches_finite_differences(self, rng):
         # envelope gradient vs central differences of the max-value function
-        from advrisk.trs import worst_case_perturbation
-
-        def max_value(a, x, y, eps):
-            res = worst_case_perturbation(a, y - a @ x, eps)
-            return float(np.linalg.norm(y - a @ x) ** 2 + res.objective_gain)
-
-        h = 1e-6
         worst = 0.0
         for _ in range(50):
             a = rng.standard_normal((3, 2))
-            x = rng.standard_normal(2)
-            y = rng.standard_normal(3)
+            x = rng.standard_normal((1, 2))
+            y = rng.standard_normal((1, 3))
             eps = float(rng.uniform(0.1, 1.0))
-            grad = adversarial_loss_grad(a, x, y, eps)
-            numeric = np.zeros_like(a)
-            for i in range(3):
-                for j in range(2):
-                    basis = np.zeros_like(a)
-                    basis[i, j] = h
-                    numeric[i, j] = (max_value(a + basis, x, y, eps)
-                                     - max_value(a - basis, x, y, eps)) / (2 * h)
-            worst = max(worst, np.abs(grad - numeric).max())
+            numeric = _central_difference(lambda m: _worst_case_mean_loss(m, x, y, eps), a, 1e-6)
+            worst = max(worst, np.abs(_ar_batch_grad(a, x, y, eps) - numeric).max())
         assert worst <= 1e-4
+
+    def test_batch_mean_matches_finite_differences(self, rng):
+        worst = 0.0
+        for _ in range(20):
+            p, n = (int(v) for v in rng.integers(1, 5, size=2))
+            a = rng.standard_normal((p, n))
+            xs = rng.standard_normal((16, n))
+            ys = rng.standard_normal((16, p))
+            eps = float(rng.uniform(0.1, 1.0))
+            numeric = _central_difference(lambda m: _worst_case_mean_loss(m, xs, ys, eps), a,
+                                          1e-5)
+            worst = max(worst, np.abs(_ar_batch_grad(a, xs, ys, eps) - numeric).max())
+        assert worst <= 1e-6
+
+    @pytest.mark.parametrize("system", [rotation_system(0.95, horizon=5),
+                                        shear_system(1.0, horizon=5)],
+                             ids=["rotation", "shear"])
+    def test_kalman_batch_matches_finite_differences(self, system):
+        adapter = as_estimation_problem(system, system.horizon)
+        ys, xk = adapter.draw(32, RngStream(3, 7), 0)
+        l = 1.1 * adapter.nominal
+        numeric = _central_difference(lambda m: _worst_case_mean_loss(m, ys, xk, 0.5), l, 1e-5)
+        assert np.abs(_ar_batch_grad(l, ys, xk, 0.5) - numeric).max() <= 1e-6
 
 
 class TestTrain:
