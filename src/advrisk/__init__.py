@@ -8,7 +8,6 @@ from .model import (
     CovarianceSpec,
     LinearInverseProblem,
     RngStream,
-    SampleBatch,
     cholesky_factor,
     sample_batch,
     validate_covariance,
@@ -38,12 +37,10 @@ from .training import (
     train,
 )
 from .kalman import (
-    EstimatorBoundReport,
     GramianSummary,
     LtiSystem,
     StackedModel,
     as_estimation_problem,
-    bound_report,
     build_stacked,
     estimator_ar_mc,
     estimator_gap_mc,

@@ -20,10 +20,13 @@ from . import __version__
 from .kalman import (
     LtiSystem,
     as_estimation_problem,
-    bound_report,
     estimator_ar_mc,
     estimator_sr_closed,
+    gap_lower_bounds,
+    gap_upper_bound_general,
     kalman_estimator,
+    kalman_gap_lower_bound,
+    kalman_gap_upper_bound,
 )
 from .model import LinearInverseProblem, RngStream
 from .risk import (
@@ -408,11 +411,12 @@ def _kalman_row(system: LtiSystem, k: int, eps: float, n_samples: int, stream, s
     nominal = kalman_estimator(system, k)
     sr = estimator_sr_closed(nominal, system, k)
     ar = estimator_ar_mc(nominal, system, k, eps, n_samples, stream)
-    report = bound_report(system, k, eps)
+    lb_general, lb_frobenius = gap_lower_bounds(nominal, system, k, eps)
+    ub_general = gap_upper_bound_general(nominal, system, k, eps)
     return [
         system_id, sr, ar.mean, ar.std_error,
-        report.gap_lower_general, report.gap_lower_frobenius, report.kalman_gap_lower,
-        report.gap_upper_general, report.kalman_gap_upper,
+        lb_general, lb_frobenius, kalman_gap_lower_bound(system, k, eps),
+        ub_general, kalman_gap_upper_bound(system, k, eps)[0],
         gram.lambda_min, gram.min_singular_value, gram.frobenius,
     ]
 

@@ -13,7 +13,6 @@ the gramian's spectrum.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -22,6 +21,7 @@ import numpy as np
 from .model import (
     CovarianceSpec,
     RngStream,
+    check_fits_in_memory,
     frozen_array,
     validate_covariance,
 )
@@ -72,11 +72,9 @@ class LtiSystem:
         # The stacked noise blocks, (nN)^2 and (p(N+1))^2 doubles, are built
         # twice (covariances and colouring factors); a horizon whose blocks
         # cannot fit in physical memory is refused before any is built.
-        need = 16 * ((n * self.horizon) ** 2 + (c.shape[0] * (self.horizon + 1)) ** 2)
-        ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-        if need > ram:
-            raise MemoryError(f"horizon {self.horizon} needs {need / 2**30:.3g} GiB of stacked "
-                              f"arrays, more than the {ram / 2**30:.3g} GiB of physical memory")
+        check_fits_in_memory(
+            16 * ((n * self.horizon) ** 2 + (c.shape[0] * (self.horizon + 1)) ** 2),
+            f"horizon {self.horizon}'s stacked arrays")
 
     @classmethod
     def from_matrices(cls, a, c, sigma0, sigma_w, sigma_v, horizon) -> "LtiSystem":
@@ -199,7 +197,6 @@ class GramianSummary:
 
     gramian: np.ndarray
     lambda_min: float
-    lambda_max: float
     frobenius: float
 
     @property
@@ -215,11 +212,9 @@ def observability_gramian(system: LtiSystem, n_steps: int | None = None) -> Gram
     obs = _observability_matrix(system.c, _powers(system.a, steps))
     gram = obs.T @ obs
     gram = 0.5 * (gram + gram.T)
-    eigs = np.linalg.eigvalsh(gram)
     return GramianSummary(
         gramian=gram,
-        lambda_min=float(eigs[0]),
-        lambda_max=float(eigs[-1]),
+        lambda_min=float(np.linalg.eigvalsh(gram)[0]),
         frobenius=float(np.linalg.norm(gram, "fro")),
     )
 
@@ -458,8 +453,8 @@ def kalman_gap_lower_bound(system: LtiSystem, k: int, epsilon: float) -> float:
     """
     _check_k(system, k)
     gram = system.gramian
-    sv_min = float(np.linalg.eigvalsh(system.sigma_v.matrix)[0])
-    sv_norm = float(np.linalg.eigvalsh(system.sigma_v.matrix)[-1])
+    sv_eigs = np.linalg.eigvalsh(system.sigma_v.matrix)
+    sv_min, sv_norm = float(sv_eigs[0]), float(sv_eigs[-1])
     _, bar_max = _sigma_bar_extremes(system)
     noise_floor = float(np.linalg.eigvalsh(_state_noise_matrix(system, k))[0])
     denom = (system.horizon + 1) * bar_max * gram.frobenius + sv_norm
@@ -481,8 +476,8 @@ def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[f
     _check_k(system, k)
     gram = system.gramian
     bar_min, bar_max = _sigma_bar_extremes(system)
-    sv_min = float(np.linalg.eigvalsh(system.sigma_v.matrix)[0])
-    sv_norm = float(np.linalg.eigvalsh(system.sigma_v.matrix)[-1])
+    sv_eigs = np.linalg.eigvalsh(system.sigma_v.matrix)
+    sv_min, sv_norm = float(sv_eigs[0]), float(sv_eigs[-1])
     s_floor = np.sqrt(max(gram.lambda_min, 0.0)) * bar_min
     if s_floor <= 0.0:
         return float("inf"), REGIME_LOW
@@ -500,39 +495,6 @@ def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[f
         * (2.0 * np.sqrt(system.n) * np.sqrt(bar_max + sv_norm * beta * beta) + epsilon * beta)
     )
     return float(value), regime
-
-
-@dataclass(frozen=True)
-class EstimatorBoundReport:
-    """All gap bounds for an estimator on one system.
-
-    The nominal-estimator bounds (``kalman_*``) are present only when the
-    report was built at the minimum-mean-square estimator itself.
-    """
-
-    gap_lower_general: float
-    gap_lower_frobenius: float
-    gap_upper_general: float
-    kalman_gap_lower: float | None
-    kalman_gap_upper: float | None
-
-
-def bound_report(
-    system: LtiSystem, k: int, epsilon: float, l=None
-) -> EstimatorBoundReport:
-    """Assemble every applicable bound; ``l`` defaults to the nominal
-    estimator, enabling the system-level bounds."""
-    at_nominal = l is None
-    l = _kept(system, k)[1] if at_nominal else np.asarray(l, dtype=float)
-    general, frobenius = gap_lower_bounds(l, system, k, epsilon)
-    upper = gap_upper_bound_general(l, system, k, epsilon)
-    return EstimatorBoundReport(
-        gap_lower_general=general,
-        gap_lower_frobenius=frobenius,
-        gap_upper_general=upper,
-        kalman_gap_lower=kalman_gap_lower_bound(system, k, epsilon) if at_nominal else None,
-        kalman_gap_upper=kalman_gap_upper_bound(system, k, epsilon)[0] if at_nominal else None,
-    )
 
 
 def as_estimation_problem(system: LtiSystem, k: int) -> EstimationProblem:

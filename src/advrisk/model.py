@@ -12,6 +12,7 @@ object and reused on every draw.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,18 @@ _U_FLOOR = 2.0**-54
 
 class TrainingDivergedError(RuntimeError):
     """Raised when an iterative numerical procedure leaves its stable region."""
+
+
+def check_fits_in_memory(nbytes: int, what: str) -> None:
+    """Raise ``MemoryError`` if ``what``, ``nbytes`` long, exceeds physical memory.
+
+    Called before a config-sized array is built, so a size past numpy's array
+    limit fails the same way as one past memory.
+    """
+    ram = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > ram:
+        raise MemoryError(f"{what} needs {nbytes / 2**30:.3g} GiB, more than the "
+                          f"{ram / 2**30:.3g} GiB of physical memory")
 
 
 def frozen_array(values) -> np.ndarray:
@@ -56,12 +69,9 @@ class CovarianceSpec:
     ----------
     matrix : ndarray, shape (d, d)
         Symmetrized read-only copy of the input.
-    strict : bool
-        True if the matrix was validated as strictly positive definite.
     """
 
     matrix: np.ndarray
-    strict: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", frozen_array(self.matrix))
@@ -113,7 +123,7 @@ def validate_covariance(m, strict: bool = False, name: str = "covariance") -> Co
         raise ValueError(f"{name} is not PSD (min eigenvalue {eigs[0]:.3e})")
     if strict and eigs[0] <= 0.0:
         raise ValueError(f"{name} is not positive definite (min eigenvalue {eigs[0]:.3e})")
-    return CovarianceSpec(matrix=sym, strict=strict)
+    return CovarianceSpec(matrix=sym)
 
 
 def cholesky_factor(spec: CovarianceSpec) -> np.ndarray:
@@ -197,44 +207,29 @@ class RngStream:
         bg = Philox(seed=SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,)))
         return Generator(bg), bg.state
 
-    def uniform_block(self, base_index: int, count: int, width: int) -> np.ndarray:
-        """``(count, width)`` uniforms; row ``i`` belongs to sample ``base_index + i``."""
-        if count < 0 or width <= 0 or base_index < 0:
-            raise ValueError("count, width and base_index must be nonnegative (width > 0)")
-        if count == 0:
-            return np.empty((0, width))
-        blocks = -(-width // _WORDS_PER_BLOCK)
-        gen, seeded = self._seeded
-        bg = gen.bit_generator
-        bg.state = seeded
-        if base_index:
-            bg.advance(base_index * blocks)
-        u = gen.random((count, blocks * _WORDS_PER_BLOCK))
-        return u[:, :width]
-
     def normal_block(self, base_index: int, count: int, width: int) -> np.ndarray:
-        """``(count, width)`` standard normals, via the inverse normal CDF.
+        """``(count, width)`` standard normals; row ``i`` belongs to sample
+        ``base_index + i``.
 
         The quantile transform consumes exactly one uniform per normal,
         which keeps sample counter blocks aligned (rejection samplers do
         not).
         """
-        u = self.uniform_block(base_index, count, width)
+        if count < 0 or width <= 0 or base_index < 0:
+            raise ValueError("count, width and base_index must be nonnegative (width > 0)")
+        if count == 0:
+            return np.empty((0, width))
+        blocks = -(-width // _WORDS_PER_BLOCK)
+        check_fits_in_memory(8 * count * blocks * _WORDS_PER_BLOCK,
+                             f"a block of {count} x {width} normals")
+        gen, seeded = self._seeded
+        bg = gen.bit_generator
+        bg.state = seeded
+        if base_index:
+            bg.advance(base_index * blocks)
+        u = gen.random((count, blocks * _WORDS_PER_BLOCK))[:, :width]
         np.maximum(u, _U_FLOOR, out=u)
         return ndtri(u, out=u)
-
-
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """Jointly drawn ``(x, w, y)`` samples with ``y = a_star @ x + w`` exact."""
-
-    xs: np.ndarray
-    ws: np.ndarray
-    ys: np.ndarray
-
-    @property
-    def count(self) -> int:
-        return self.xs.shape[0]
 
 
 def sample_batch(
@@ -242,12 +237,12 @@ def sample_batch(
     count: int,
     stream: RngStream,
     base_index: int = 0,
-) -> SampleBatch:
-    """Draw ``count`` samples from the problem's data model.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw ``count`` samples ``(xs, ys)`` from the problem's data model.
 
-    ``xs[i]`` and ``ws[i]`` are Cholesky-colored normals generated from the
-    counter block of sample ``base_index + i``; ``ys`` is constructed
-    exactly, never re-sampled.
+    ``xs[i]`` and the noise ``ws[i]`` are Cholesky-colored normals generated
+    from the counter block of sample ``base_index + i``; ``ys = xs A*' + ws``
+    is constructed exactly, never re-sampled.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
@@ -259,27 +254,4 @@ def sample_batch(
     ws = z[:, n:] @ lw.T
     ys = xs @ problem.a_star.T
     ys += ws
-    return SampleBatch(xs=xs, ws=ws, ys=ys)
-
-
-def pair_sampler(problem: LinearInverseProblem):
-    """``draw(count, stream, base_index) -> (xs, ys)`` over ``sample_batch``."""
-
-    def draw(count, stream, base_index):
-        batch = sample_batch(problem, count, stream, base_index)
-        return batch.xs, batch.ys
-
-    return draw
-
-
-def sharded_sum(values: np.ndarray, shard: int = 1024) -> float:
-    """Sum in fixed 1024-sample shards, combined in index order.
-
-    Pins the reduction tree so Monte Carlo results do not depend on how the
-    sample range was chunked during generation.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    total = 0.0
-    for start in range(0, values.size, shard):
-        total += float(values[start : start + shard].sum())
-    return total
+    return xs, ys

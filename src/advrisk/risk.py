@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .model import LinearInverseProblem, RngStream, pair_sampler, sharded_sum
+from .model import LinearInverseProblem, RngStream, check_fits_in_memory, sample_batch
 from .trs import SvdFactorization, svd_full, worst_case_batch
 
 DEFAULT_SAMPLES = 100_000
@@ -23,6 +24,9 @@ DEFAULT_SAMPLES = 100_000
 # doubles (0.5 MB at width 16), so a block's working set stays near the L2
 # cache and a pass's memory does not grow with n_samples.
 _GEN_CHUNK = 4_096
+# Samples per partial sum of a Monte Carlo mean.  Fixed shards, added in index
+# order, pin the reduction tree, so a mean does not depend on the chunking.
+_SUM_SHARD = 1_024
 
 ISOTROPY_TOL = 1e-10
 
@@ -33,8 +37,6 @@ class RiskEstimate:
 
     mean: float
     std_error: float
-    n_samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -54,15 +56,17 @@ class GapBounds:
     lambda_min: float
     lambda_max: float
     cross_term: float
-    cross_term_stderr: float = 0.0
+    cross_term_stderr: float
 
 
-def mc_estimate(values: np.ndarray, seed: int) -> RiskEstimate:
+def mc_estimate(values: np.ndarray) -> RiskEstimate:
     """Wrap per-sample values: sharded mean plus standard error."""
     n = values.size
-    mean = sharded_sum(values) / n
+    total = 0.0
+    for start in range(0, n, _SUM_SHARD):
+        total += float(values[start : start + _SUM_SHARD].sum())
     stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return RiskEstimate(mean=float(mean), std_error=stderr, n_samples=n, seed=seed)
+    return RiskEstimate(mean=total / n, std_error=stderr)
 
 
 def _extreme_eigs(fact: SvdFactorization) -> tuple[float, float]:
@@ -95,6 +99,8 @@ def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
+    check_fits_in_memory(8 * n_samples * len(want),
+                         f"{len(want)} x {n_samples} Monte Carlo values")
     a = np.asarray(a, dtype=float)
     fact = svd_full(a)
     out = {key: np.empty(n_samples) for key in want}
@@ -119,7 +125,7 @@ def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):
 def mc_mean(a, draw, n_samples, stream, base_index, eps, column) -> RiskEstimate:
     """Estimate the mean of one ``_mc_columns`` column."""
     _, out = _mc_columns(a, draw, n_samples, stream, base_index, eps, (column,))
-    return mc_estimate(out[column], stream.seed)
+    return mc_estimate(out[column])
 
 
 def adversarial_risk_mc(
@@ -131,8 +137,8 @@ def adversarial_risk_mc(
 ) -> RiskEstimate:
     """Monte Carlo adversarial risk: per sample ``||b||^2`` plus the exact
     inner-adversary gain, with one SVD of ``a`` shared by all samples."""
-    return mc_mean(a, pair_sampler(problem), n_samples, stream, base_index, problem.epsilon,
-                   "value")
+    return mc_mean(a, partial(sample_batch, problem), n_samples, stream, base_index,
+                   problem.epsilon, "value")
 
 
 def ar_sr_gap_mc(
@@ -148,8 +154,8 @@ def ar_sr_gap_mc(
     is nonnegative, so this estimator is far tighter than differencing two
     independent risk estimates.
     """
-    return mc_mean(a, pair_sampler(problem), n_samples, stream, base_index, problem.epsilon,
-                   "gain")
+    return mc_mean(a, partial(sample_batch, problem), n_samples, stream, base_index,
+                   problem.epsilon, "gain")
 
 
 def gap_bounds_mc(
@@ -166,9 +172,9 @@ def gap_bounds_mc(
     rank deficient).
     """
     eps = problem.epsilon
-    fact, out = _mc_columns(a, pair_sampler(problem), n_samples, stream, base_index, eps,
+    fact, out = _mc_columns(a, partial(sample_batch, problem), n_samples, stream, base_index, eps,
                             ("cross",))
-    est = mc_estimate(out["cross"], stream.seed)
+    est = mc_estimate(out["cross"])
     lam_min, lam_max = _extreme_eigs(fact)
     return GapBounds(
         lower=2.0 * eps * est.mean + eps * eps * lam_min,

@@ -14,11 +14,12 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .model import LinearInverseProblem, RngStream, TrainingDivergedError, pair_sampler
+from .model import LinearInverseProblem, RngStream, TrainingDivergedError, sample_batch
 from .risk import RiskEstimate, adversarial_risk_mc, standard_risk_closed, with_epsilon
 from .trs import worst_case_batch
 
@@ -44,7 +45,7 @@ class EstimationProblem:
     ar_mc: Callable[[np.ndarray, float, int, RngStream], RiskEstimate]
     # largest eigenvalue of the input second moment; sets the curvature
     # scale of the quadratic loss and hence the stable step size
-    input_scale: float = 1.0
+    input_scale: float
 
 
 def problem_adapter(problem: LinearInverseProblem) -> EstimationProblem:
@@ -58,7 +59,7 @@ def problem_adapter(problem: LinearInverseProblem) -> EstimationProblem:
 
     return EstimationProblem(
         nominal=problem.a_star.copy(),
-        draw=pair_sampler(problem),
+        draw=partial(sample_batch, problem),
         sr_closed=lambda a: standard_risk_closed(a, problem),
         sr_grad=sr_grad,
         ar_mc=ar_mc,
@@ -106,7 +107,7 @@ class TrainConfig:
     def pure_ar(self) -> bool:
         return math.isinf(self.lam)
 
-    def resolved_step_c0(self, input_scale: float = 1.0) -> float:
+    def resolved_step_c0(self, input_scale: float) -> float:
         if self.step_c0 is not None:
             return self.step_c0
         lam = 0.0 if self.pure_ar else self.lam

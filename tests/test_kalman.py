@@ -5,7 +5,6 @@ from advrisk import kalman, model
 from advrisk.kalman import (
     LtiSystem,
     as_estimation_problem,
-    bound_report,
     build_stacked,
     estimator_ar_mc,
     estimator_gap_mc,
@@ -22,7 +21,7 @@ from advrisk.kalman import (
     residual_covariance,
     simulate_rollouts,
 )
-from advrisk.experiments import rotation_system, shear_system
+from advrisk.experiments import ExperimentConfig, rotation_system, run_experiment, shear_system
 from advrisk.model import RngStream
 from advrisk.training import TrainConfig, train
 from conftest import random_spd
@@ -98,7 +97,7 @@ class TestGramian:
         system = make_system(np.eye(2), np.eye(2), horizon=3)
         summary = observability_gramian(system)
         assert np.allclose(summary.gramian, 4.0 * np.eye(2), atol=1e-12)
-        assert np.isclose(summary.lambda_min, 4.0) and np.isclose(summary.lambda_max, 4.0)
+        assert np.isclose(summary.lambda_min, 4.0)
 
     def test_rotation_family_reference_values(self):
         # the bound-relevant scale is the gramian's root eigenvalue, i.e. the
@@ -329,13 +328,21 @@ class TestGapBounds:
         expected = (2 * np.sqrt(2 / np.pi) * eps / np.sqrt(2)) * 0.2 * 2.0 * expected_ratio**2
         assert np.isclose(lb, expected, rtol=1e-12)
 
-    def test_bound_report_at_nominal(self, rng):
+    def test_kalman_bounds_row_is_the_bound_functions(self):
+        # the kalman-bounds CSV columns, in order, are the four bound functions
+        # at the nominal estimator
+        config = ExperimentConfig(kind="kalman-bounds", n_samples=200,
+                                  params={"alphas": [0.98], "horizon": 5, "k": 5, "epsilon": 0.5})
+        table = run_experiment(config)
+        row = dict(zip(table.header, table.rows[0]))
         system = rotation_system(0.98, horizon=5)
-        report = bound_report(system, 5, 0.5)
-        assert report.kalman_gap_lower is not None and report.kalman_gap_upper is not None
-        assert report.gap_lower_frobenius <= report.gap_lower_general
-        custom = bound_report(system, 5, 0.5, l=np.zeros((2, 6)))
-        assert custom.kalman_gap_lower is None and custom.kalman_gap_upper is None
+        nominal = kalman_estimator(system, 5)
+        general, frobenius = gap_lower_bounds(nominal, system, 5, 0.5)
+        assert (row["lb_general"], row["lb_frobenius"]) == (general, frobenius)
+        assert row["lb_kalman"] == kalman_gap_lower_bound(system, 5, 0.5)
+        assert row["ub_general"] == gap_upper_bound_general(nominal, system, 5, 0.5)
+        assert row["ub_kalman"] == kalman_gap_upper_bound(system, 5, 0.5)[0]
+        assert row["lb_frobenius"] <= row["lb_general"]
 
 
 class TestEstimationAdapter:
@@ -405,7 +412,11 @@ class TestKeptConstants:
         for _ in range(3):
             adapter.sr_closed(robust)
             residual_covariance(robust, system, 0)
-            bound_report(system, 0, 0.5)
+            nominal = kalman_estimator(system, 0)
+            gap_lower_bounds(nominal, system, 0, 0.5)
+            gap_upper_bound_general(nominal, system, 0, 0.5)
+            kalman_gap_lower_bound(system, 0, 0.5)
+            kalman_gap_upper_bound(system, 0, 0.5)
         # one stacked model shared by the MMSE solve, the rollouts, the
         # closed-form risks and the bounds; one factor per covariance; none
         # per SGD step or per call
@@ -418,8 +429,7 @@ class TestKeptConstants:
         kept, fresh = system.gramian, observability_gramian(system)
         assert kept is system.gramian
         assert kept.gramian.tobytes() == fresh.gramian.tobytes()
-        assert (kept.lambda_min, kept.lambda_max, kept.frobenius) == (
-            fresh.lambda_min, fresh.lambda_max, fresh.frobenius)
+        assert (kept.lambda_min, kept.frobenius) == (fresh.lambda_min, fresh.frobenius)
         estimator = kalman_estimator(system, 1)
         assert estimator is as_estimation_problem(system, 1).nominal
         for arr in (kept.gramian, estimator):

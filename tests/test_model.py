@@ -20,7 +20,6 @@ from conftest import random_spd
 class TestValidateCovariance:
     def test_identity_strict_accepted(self):
         spec = validate_covariance(np.eye(3), strict=True)
-        assert spec.strict
         assert np.array_equal(spec.matrix, np.eye(3))
 
     def test_psd_with_zero_eigenvalue_rejected_when_strict(self):
@@ -85,21 +84,24 @@ def problem():
 
 class TestSampleBatch:
     def test_measurement_identity_exact(self, problem):
-        batch = sample_batch(problem, 100, RngStream(5), 0)
-        assert np.array_equal(batch.ys, batch.xs @ problem.a_star.T + batch.ws)
+        xs, ys = sample_batch(problem, 100, RngStream(5), 0)
+        # the noise the batch drew: the block's last p columns, coloured
+        ws = RngStream(5).normal_block(0, 100, problem.n + problem.p)[:, problem.n:]
+        ws = ws @ problem.sigma_w.cholesky.T
+        assert np.array_equal(ys, xs @ problem.a_star.T + ws)
 
     def test_empty_batch(self, problem):
-        batch = sample_batch(problem, 0, RngStream(5), 0)
-        assert batch.count == 0 and batch.xs.shape == (0, 2)
+        xs, ys = sample_batch(problem, 0, RngStream(5), 0)
+        assert xs.shape == (0, 2) and ys.shape == (0, 2)
 
     def test_deterministic(self, problem):
-        b1 = sample_batch(problem, 50, RngStream(7, 3), 10)
-        b2 = sample_batch(problem, 50, RngStream(7, 3), 10)
-        assert np.array_equal(b1.xs, b2.xs) and np.array_equal(b1.ws, b2.ws)
+        xs1, ys1 = sample_batch(problem, 50, RngStream(7, 3), 10)
+        xs2, ys2 = sample_batch(problem, 50, RngStream(7, 3), 10)
+        assert np.array_equal(xs1, xs2) and np.array_equal(ys1, ys2)
 
     def test_sample_covariance_close(self, problem):
-        batch = sample_batch(problem, 100_000, RngStream(11), 0)
-        cov = batch.xs.T @ batch.xs / batch.count
+        xs, _ = sample_batch(problem, 100_000, RngStream(11), 0)
+        cov = xs.T @ xs / len(xs)
         assert np.linalg.norm(cov - np.eye(2)) / np.linalg.norm(np.eye(2)) < 0.05
 
     @given(split=st.integers(min_value=0, max_value=64))
@@ -109,8 +111,8 @@ class TestSampleBatch:
         whole = sample_batch(problem, 64, RngStream(3, 1), 0)
         head = sample_batch(problem, split, RngStream(3, 1), 0)
         tail = sample_batch(problem, 64 - split, RngStream(3, 1), split)
-        assert np.array_equal(whole.xs, np.vstack([head.xs, tail.xs]))
-        assert np.array_equal(whole.ys, np.vstack([head.ys, tail.ys]))
+        for part in (0, 1):  # xs, then ys
+            assert np.array_equal(whole[part], np.vstack([head[part], tail[part]]))
 
 
 class TestRngStream:
@@ -204,5 +206,5 @@ def test_repeated_sample_batch_matches_fresh_problem():
     for base in (0, 32, 64, 0, 5):
         got = sample_batch(kept, 32, stream, base)
         want = sample_batch(build(), 32, RngStream(6, 2), base)
-        for name in ("xs", "ws", "ys"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+        for part in (0, 1):  # xs, then ys
+            assert np.array_equal(got[part], want[part])
