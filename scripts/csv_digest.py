@@ -4,7 +4,8 @@
 The set is the three quick figures (sizes as in ``reproduce_figures.py
 --quick``) plus ``risk`` (also at a size whose last sampling block is one
 row), ``bounds`` (at a = A* and at a != A*),
-``pareto``, ``perturb`` on an easy row and on a hard one (branch_code 1),
+``pareto`` (also at a size whose last training block is one step),
+``perturb`` on an easy row and on a hard one (branch_code 1),
 ``kalman-bounds`` at horizon 5, at horizon 0 (no process noise in the
 stacked model) and on two ``systems`` entries of horizons 3 and 5 with no
 ``k``, and a ``fig-kf-vs-adv`` that trains a smoother at an interior
@@ -31,7 +32,8 @@ _A_STAR = [[1.0, 0.3, 0.0], [0.2, 0.8, 0.1], [0.0, -0.4, 0.6]]
 _A = [[0.9, 0.2, 0.1], [0.1, 0.7, 0.0], [0.0, -0.3, 0.5]]
 
 # name -> ExperimentConfig fields; MC sizes exceed one sampling block
-# (risk._GEN_CHUNK rows) so the chunked path is covered.
+# (risk._GEN_CHUNK rows) so the chunked path is covered; so do the training
+# runs, at _GEN_CHUNK // batch_size steps per block.
 EXTRA = {
     "risk": dict(kind="risk", n_samples=40_000,
                  params={"a_star": _A_STAR, "a": _A, "epsilon": 0.5}),
@@ -61,6 +63,11 @@ EXTRA = {
     "pareto": dict(kind="pareto", n_samples=5_000, lambda_grid=[0.0, 0.1, 1.0, float("inf")],
                    params={"a_star": [[1.0, 0.2], [0.0, 0.8]], "epsilon": 0.5,
                            "train": {"n_iters": 400, "batch_size": 16}}),
+    # 4 096 // 24 = 170 steps per block: each run's second block holds one step
+    "pareto_block_tail": dict(kind="pareto", n_samples=5_000,
+                              lambda_grid=[0.0, 0.1, 1.0, float("inf")],
+                              params={"a_star": [[1.0, 0.2], [0.0, 0.8]], "epsilon": 0.5,
+                                      "train": {"n_iters": 171, "batch_size": 24}}),
     "perturb": dict(kind="perturb",
                     params={"a": _A, "b": [0.3, -1.2, 0.7], "epsilon": 0.5}),
     # b = 0.1 u_2, u_2 the second left singular vector of _A: b has no top

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .model import LinearInverseProblem, RngStream, TrainingDivergedError, sample_batch
-from .risk import RiskEstimate, adversarial_risk_mc, standard_risk_closed, with_epsilon
+from .risk import _GEN_CHUNK, RiskEstimate, adversarial_risk_mc, standard_risk_closed, with_epsilon
 from .trs import worst_case_batch
 
 DIVERGENCE_NORM = 1e6
@@ -34,8 +34,12 @@ class EstimationProblem:
     """Hooks binding a data model to the trainers.
 
     The trained matrix has the shape of ``nominal`` and the loss per pair
-    is ``||y - A x||^2`` (adversarially, ``x`` is perturbed).  ``draw``
-    must be deterministic in ``(stream, base_index)``.
+    is ``||y - A x||^2`` (adversarially, ``x`` is perturbed).
+    ``draw(count, stream, base_index)`` must give row ``i`` from the counter
+    block of sample ``base_index + i`` alone, so any split of a sample range
+    into calls of two or more rows gives the same bits: ``train`` draws many
+    steps' batches in one call and slices each step's batch from it.  A
+    1-row call may round differently (BLAS takes its matrix-vector path).
     """
 
     nominal: np.ndarray
@@ -94,13 +98,18 @@ class TrainConfig:
             raise ValueError("lam and epsilon must be nonnegative")
         if not (0.5 <= self.step_decay <= 1.0):
             raise ValueError("step_decay must lie in [0.5, 1]")
-        if self.batch_size <= 0 or self.n_iters <= 0:
-            raise ValueError("batch_size and n_iters must be positive")
+        for name, low in (("batch_size", 1), ("n_iters", 1), ("seed", 0)):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {v!r}")
         c0 = self.step_c0
         if c0 is not None and (isinstance(c0, bool) or not isinstance(c0, numbers.Real)
                                or not (math.isfinite(c0) and c0 > 0)):
             raise ValueError(f"step_c0 must be None or a finite number > 0, got {c0!r}")
-        if not (isinstance(self.init, np.ndarray) or self.init in ("nominal", "zeros")):
+        if isinstance(self.init, np.ndarray):
+            if not np.isfinite(self.init.astype(float)).all():
+                raise ValueError("init array has non-finite entries")
+        elif self.init not in ("nominal", "zeros"):
             raise ValueError(f"init must be 'nominal', 'zeros' or an array, got {self.init!r}")
 
     @property
@@ -152,6 +161,11 @@ def train(problem, config: TrainConfig, on_iterate=None) -> np.ndarray:
     deterministic.  Raises ``TrainingDivergedError`` if the iterate norm
     exceeds ``DIVERGENCE_NORM`` (the step size is too large).
     ``on_iterate(t, a)``, when given, observes every iterate.
+
+    The batches are drawn ``_GEN_CHUNK // batch_size`` steps at a time (at
+    least one step and two rows per draw) and each step slices its own; by
+    the split invariance of ``draw`` each holds the bits of a draw of that
+    step alone (of two rows at batch size 1).
     """
     adapter = _adapter(problem)
     a = _init_matrix(config, adapter)
@@ -160,9 +174,16 @@ def train(problem, config: TrainConfig, on_iterate=None) -> np.ndarray:
     need_ar = config.pure_ar or config.lam > 0.0
     tail_len = max(1, config.n_iters // 10)
     tail_sum = np.zeros_like(a)
+    batch = config.batch_size
+    steps_per_block = max(1, _GEN_CHUNK // batch)
     for t in range(1, config.n_iters + 1):
         if need_ar:
-            xs, ys = adapter.draw(config.batch_size, stream, (t - 1) * config.batch_size)
+            j = (t - 1) % steps_per_block
+            if not j:
+                rows = min(steps_per_block, config.n_iters - t + 1) * batch
+                inputs, targets = adapter.draw(max(rows, 2), stream, (t - 1) * batch)
+            xs = inputs[j * batch : (j + 1) * batch]
+            ys = targets[j * batch : (j + 1) * batch]
             g_ar = _ar_batch_grad(a, xs, ys, config.epsilon)
             grad = g_ar if config.pure_ar else adapter.sr_grad(a) + config.lam * g_ar
         else:

@@ -17,6 +17,7 @@ of ``A`` serves an entire Monte Carlo batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ CLUSTER_RTOL = 1e-9
 HARD_MARGIN = 1e-9
 ROOT_RTOL = 1e-12
 MAX_ROOT_ITER = 200
+_SPACING = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +76,7 @@ def svd_full(a) -> SvdFactorization:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix has non-finite entries")
     u, s, vt = np.linalg.svd(a, full_matrices=True)
     return SvdFactorization(u=u, singular_values=s, v=vt.T)
@@ -120,33 +122,40 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
     mu = lo.copy()
     # mu >= 0 and gaps >= 0, so a denominator is zero only where mu = 0 meets a
     # top gap, i.e. in a row whose top weights are all zero; the mask zeroes q
-    # there (1/0 = inf) as on every other zero weight.
+    # there (1/0 = inf) as on every other zero weight.  With no zero weight
+    # there is nothing to mask.
     w_zero = ~(w > 0.0)
+    if not w_zero.any():
+        w_zero = None
     tol = ROOT_RTOL * tgt
-    spacing = np.finfo(float).eps
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(MAX_ROOT_ITER):
-            q = mu[:, None] + gaps[None, :]
+            q = np.add.outer(mu, gaps)
             np.divide(1.0, q, out=q)
-            np.copyto(q, 0.0, where=w_zero)
+            if w_zero is not None:
+                np.copyto(q, 0.0, where=w_zero)
             wqq = w * q
             wqq *= q
-            f = wqq.sum(axis=1)
+            f = np.add.reduce(wqq, axis=1)
             g = f - tgt
             np.maximum(lo, mu, out=lo, where=g > 0.0)
             np.minimum(hi, mu, out=hi, where=g < 0.0)
-            active = (np.abs(g) > tol) & ((hi - lo) > spacing * np.maximum(hi, 1e-300))
-            keep = np.flatnonzero(active)
+            active = (np.abs(g) > tol) & ((hi - lo) > _SPACING * np.maximum(hi, 1e-300))
+            keep = active.nonzero()[0]
             if keep.size < rows.size:
                 out[rows] = mu  # final for the rows stopping now; the rest are rewritten
             if not keep.size:  # also ends an empty batch
                 return out
             wqq *= q  # w q^3: phi'(mu) = f^(-3/2) sum w q^3
-            newton = mu - f * (1.0 - np.sqrt(f) / eps) / wqq.sum(axis=1)
+            newton = mu - f * (1.0 - np.sqrt(f) / eps) / np.add.reduce(wqq, axis=1)
             if keep.size < rows.size:
                 rows, mu, lo, hi, newton = (v[keep] for v in (rows, mu, lo, hi, newton))
-                w, w_zero = w[keep], w_zero[keep]
-            inside = np.isfinite(newton) & (newton > lo) & (newton < hi)
+                w = w[keep]
+                if w_zero is not None:
+                    w_zero = w_zero[keep]
+            # lo and hi are never NaN, so a NaN or infinite Newton point fails
+            # one of the two comparisons and the row bisects
+            inside = (newton > lo) & (newton < hi)
             mu = np.where(inside, newton, 0.5 * (lo + hi))
     raise np.linalg.LinAlgError(
         f"secular root did not converge in {MAX_ROOT_ITER} sweeps "
@@ -193,9 +202,9 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
     b_batch = np.asarray(b_batch, dtype=float)
     if b_batch.ndim != 2 or b_batch.shape[1] != fact.p:
         raise ValueError(f"b must have shape (m, {fact.p}), got {b_batch.shape}")
-    if not np.all(np.isfinite(b_batch)):
+    if not np.isfinite(b_batch).all():
         raise ValueError("b has non-finite entries")
-    if eps < 0.0 or not np.isfinite(eps):
+    if eps < 0.0 or not math.isfinite(eps):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
     s = fact.singular_values
     m = b_batch.shape[0]
@@ -209,31 +218,40 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
     w = (bu * s) ** 2
     top = s >= s1 - CLUSTER_RTOL * max(s1, 1.0)
     gaps = np.where(top, 0.0, (s1 - s) * (s1 + s))
-    wsum = w.sum(axis=1)
-    if not np.all(np.isfinite(wsum)):
+    wsum = np.add.reduce(w, axis=1)
+    if not np.isfinite(wsum).all():
         raise FloatingPointError("inner-adversary weights overflow: residual too large")
-    w_top = _row_dot(w, np.where(top, 1.0, 0.0))
+    # The top cluster is a prefix holding sigma_1; alone in it, sigma_1's
+    # weight is the first column, as the row sum gives it bit for bit.
+    w_top = _row_dot(w, np.where(top, 1.0, 0.0)) if r > 1 and top[1] else w[:, 0]
     s_low = _row_dot(w, np.where(top, 0.0, 1.0 / np.where(gaps > 0.0, gaps, 1.0) ** 2))
 
     # Hard case: dual sticks at s1^2.  Requires the residual budget after the
     # pseudoinverse component, and a numerically-zero top-cluster weight
     # (otherwise stationarity at s1^2 is violated and the easy root exists).
-    hard = (s_low < eps * eps * (1.0 - HARD_MARGIN)) & (
-        np.sqrt(w_top) <= HARD_MARGIN * (s1 * s1 * eps + np.sqrt(wsum))
-    )
+    hard = s_low < eps * eps * (1.0 - HARD_MARGIN)
+    any_hard = hard.any()
+    if any_hard:
+        hard &= np.sqrt(w_top) <= HARD_MARGIN * (s1 * s1 * eps + np.sqrt(wsum))
+        any_hard = hard.any()
 
     # mu = lambda - s1^2: the secular root on easy rows, 0 on hard rows.  With
     # every row easy the batch is solved whole, with no gathers.
-    easy = np.flatnonzero(~hard) if hard.any() else slice(None)
-    mu = np.zeros(m)
-    mu[easy] = _secular_mu(w[easy], gaps, eps, w_top[easy], wsum[easy])
+    if any_hard:
+        easy = (~hard).nonzero()[0]
+        mu = np.zeros(m)
+        mu[easy] = _secular_mu(w[easy], gaps, eps, w_top[easy], wsum[easy])
+    else:
+        mu = _secular_mu(w, gaps, eps, w_top, wsum)
     # Stationarity gives delta's components in the right singular basis (first
     # r coordinates; the rest are always zero).  Top components of hard rows
-    # have a zero denominator; the first top direction takes up the budget the
-    # others leave.
-    denom = mu[:, None] + gaps
-    coords = np.where(denom > 0.0, -bu * s / np.where(denom > 0.0, denom, 1.0), 0.0)
-    coords[hard, int(np.argmax(top))] = np.sqrt(np.maximum(eps * eps - s_low[hard], 0.0))
+    # have a zero denominator; the first top direction (sigma_1's) takes up the
+    # budget the others leave.
+    denom = np.add.outer(mu, gaps)
+    positive = denom > 0.0
+    coords = np.where(positive, -bu * s / np.where(positive, denom, 1.0), 0.0)
+    if any_hard:
+        coords[hard, 0] = np.sqrt(np.maximum(eps * eps - s_low[hard], 0.0))
 
     # Objective evaluated in the singular basis: exact for the coordinates.
     gains = _row_dot(coords * coords, s * s) - 2.0 * _row_dot(coords * bu, s)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from advrisk.kalman import as_estimation_problem, kalman_estimator
 from advrisk.experiments import rotation_system, shear_system
 from advrisk.model import LinearInverseProblem, RngStream, TrainingDivergedError
-from advrisk.risk import adversarial_risk_mc, standard_risk_closed
+from advrisk.risk import _GEN_CHUNK, adversarial_risk_mc, standard_risk_closed
 from advrisk.training import (
+    _TRAIN_STREAM,
     TrainConfig,
     _ar_batch_grad,
     pareto_trace,
@@ -92,7 +94,55 @@ class TestAdversarialLossGrad:
         assert np.abs(_ar_batch_grad(l, ys, xk, 0.5) - numeric).max() <= 1e-6
 
 
+def _stepwise_iterates(adapter, config):
+    """SGD as ``train`` runs it, with each step's batch drawn on its own."""
+    a = adapter.nominal.copy()
+    c0 = config.resolved_step_c0(adapter.input_scale)
+    stream = RngStream(config.seed, _TRAIN_STREAM)
+    b = config.batch_size
+    iterates = []
+    for t in range(1, config.n_iters + 1):
+        # a 1-row draw rounds unlike the same row in a batch (BLAS takes its
+        # matrix-vector path), so a lone row is drawn as two
+        xs, ys = (v[:b] for v in adapter.draw(max(b, 2), stream, (t - 1) * b))
+        g_ar = _ar_batch_grad(a, xs, ys, config.epsilon)
+        grad = g_ar if config.pure_ar else adapter.sr_grad(a) + config.lam * g_ar
+        a = a - (c0 / t**config.step_decay) * grad
+        iterates.append(a)
+    return iterates
+
+
 class TestTrain:
+    @pytest.mark.parametrize("batch, n_iters", [
+        (1, _GEN_CHUNK + 1), (24, 172), (32, 130), (5000, 3),
+    ], ids=["b1", "b24", "b32", "b5000"])
+    @pytest.mark.parametrize("kind", ["plain", "kalman"])
+    def test_block_draws_match_stepwise_draws(self, kind, batch, n_iters):
+        # Each n_iters crosses a block boundary; at batch 1 the last block is
+        # one row.  The draw calls are counted, so per-step draws fail too.
+        if kind == "plain":
+            adapter = problem_adapter(make_problem([[1.0, 0.3], [-0.2, 0.8]]))
+            lam = 1.0
+        else:
+            adapter = as_estimation_problem(shear_system(1.0, horizon=5), 0)
+            lam = math.inf
+        calls = []
+
+        def counting(count, stream, base_index):
+            calls.append((count, base_index))
+            return adapter.draw(count, stream, base_index)
+
+        config = TrainConfig(lam=lam, epsilon=0.5, batch_size=batch, n_iters=n_iters, seed=13)
+        seen = []
+        train(dataclasses.replace(adapter, draw=counting), config,
+              on_iterate=lambda t, a: seen.append(a))
+        reference = _stepwise_iterates(adapter, config)
+        assert len(seen) == n_iters
+        assert all(np.array_equal(x, y) for x, y in zip(seen, reference))
+        per_block = max(1, _GEN_CHUNK // batch)
+        assert calls == [(max(min(per_block, n_iters - t) * batch, 2), t * batch)
+                         for t in range(0, n_iters, per_block)]
+
     def test_sr_only_recovers_ground_truth(self, rng):
         prob = make_problem(rng.standard_normal((2, 2)))
         cfg = TrainConfig(lam=0.0, epsilon=0.5, n_iters=2000, step_c0=0.2, seed=1, init="zeros")
@@ -146,6 +196,26 @@ class TestTrain:
             TrainConfig(step_decay=0.3)
         with pytest.raises(ValueError, match="nonnegative"):
             TrainConfig(lam=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_iters", 2.5), ("n_iters", True), ("n_iters", 0), ("n_iters", "10"),
+        ("batch_size", True), ("batch_size", 32.0), ("batch_size", -1),
+        ("seed", -1), ("seed", 1.5), ("seed", True),
+    ])
+    def test_bad_integer_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_numpy_integer_fields_accepted(self):
+        config = TrainConfig(n_iters=np.int64(3), batch_size=np.int32(4), seed=np.uint64(0))
+        assert (config.n_iters, config.batch_size, config.seed) == (3, 4, 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_init_rejected(self, bad):
+        init = np.zeros((2, 2))
+        init[1, 0] = bad
+        with pytest.raises(ValueError, match="init"):
+            TrainConfig(init=init)
 
     def test_nan_lam_rejected(self):
         with pytest.raises(ValueError, match="lam"):

@@ -305,6 +305,37 @@ class TestActiveRowCompaction:
         for lo, hi in zip(_SPLITS, _SPLITS[1:]):
             assert np.array_equal(_secular_mu(w[lo:hi], _GAPS, _EPS_SLOW), whole[lo:hi])
 
+    def test_no_zero_weight_matches_reference(self, rng):
+        # with no zero weight the kernel skips its zero-weight mask
+        w = _weights(rng.standard_normal((20, 16)))
+        assert (w > 0.0).all()
+        whole = _secular_mu(w, _GAPS, _EPS_SLOW)
+        assert np.array_equal(whole, _reference_secular_mu(w, _GAPS, _EPS_SLOW))
+        for lo, hi in zip(_SPLITS, _SPLITS[1:]):
+            assert np.array_equal(_secular_mu(w[lo:hi], _GAPS, _EPS_SLOW), whole[lo:hi])
+
+    @pytest.mark.parametrize("zero_weight", [False, True], ids=["no-zero", "zero"])
+    def test_non_finite_newton_points_match_reference(self, rng, zero_weight):
+        # A tiny top weight beside a huge low one: at the left bracket the
+        # Newton numerator overflows (point +inf), or f itself does (point
+        # NaN).  The kernel's bracket test must send both rows to bisection,
+        # as the reference's explicit isfinite does.
+        w = np.vstack([_weights(rng.standard_normal((2, 16))), np.full((2, 16), 0.5)])
+        w[2, [0, 15]] = 1e-300, 1e300
+        w[3, [0, 1]] = 1e-300, 1e308
+        if zero_weight:
+            w[2:, 7] = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo = np.sqrt(w[:, 0]) / _EPS_SLOW
+            q = 1.0 / (lo[:, None] + _GAPS)
+            f = (w * q * q).sum(axis=1)
+            newton = lo - f * (1.0 - np.sqrt(f) / _EPS_SLOW) / (w * q * q * q).sum(axis=1)
+            assert newton[2] == np.inf and np.isnan(newton[3])
+            whole = _secular_mu(w, _GAPS, _EPS_SLOW)
+            assert np.array_equal(whole, _reference_secular_mu(w, _GAPS, _EPS_SLOW))
+            for i in range(4):
+                assert np.array_equal(_secular_mu(w[[i]], _GAPS, _EPS_SLOW), whole[[i]])
+
     @pytest.mark.parametrize("rows, eps, dense", [
         (_mixed_sweep_rows, _EPS_SLOW, False), (_hard_easy_rows, 0.5, False),
         (_mixed_sweep_rows, _EPS_SLOW, True), (_hard_easy_rows, 0.5, True),
