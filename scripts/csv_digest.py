@@ -9,7 +9,9 @@ row), ``bounds`` (at a = A* and at a != A*),
 ``kalman-bounds`` at horizon 5, at horizon 0 (no process noise in the
 stacked model) and on two ``systems`` entries of horizons 3 and 5 with no
 ``k``, and a ``fig-kf-vs-adv`` that trains a smoother at an interior
-``k < N``.  Running it before
+``k < N``.  A ``pareto`` run and a ``kalman-bounds`` system have
+non-diagonal covariances, so the bytes depend on how each Cholesky factor
+is computed and applied.  Running it before
 and after a change that must not alter any number gives two tables that
 should match line for line.  With ``--against TABLE`` (the output of an
 earlier run, saved to a file) it also compares the two tables, names every
@@ -57,6 +59,12 @@ EXTRA = {
             {"a": [[1.0, 0.5], [0.0, 1.0]], "c": [[1.0, 0.0]], "sigma_v": [[0.2]],
              "horizon": 5},
         ]}),
+    # off-diagonal sigma0 and sigma_w: the colouring factors are not diagonal
+    "kalman_bounds_correlated": dict(kind="kalman-bounds", n_samples=40_000, params={
+        "epsilon": 0.5, "systems": [
+            {"a": [[0.9, 0.3], [-0.3, 0.9]], "c": [[1.0, 0.0]], "horizon": 3,
+             "sigma0": [[1.0, 0.3], [0.3, 0.8]], "sigma_w": [[0.1, 0.02], [0.02, 0.2]]},
+        ]}),
     "kf_vs_adv_smoother": dict(kind="fig-kf-vs-adv", n_samples=40_000,
                                params={"rhos": [0.3, 1.5], "k": 1, "horizon": 3, "epsilon": 0.5,
                                        "train": {"n_iters": 300, "batch_size": 16}}),
@@ -68,6 +76,13 @@ EXTRA = {
                               lambda_grid=[0.0, 0.1, 1.0, float("inf")],
                               params={"a_star": [[1.0, 0.2], [0.0, 0.8]], "epsilon": 0.5,
                                       "train": {"n_iters": 171, "batch_size": 24}}),
+    # off-diagonal sigma_x and sigma_w: the colouring factors are not diagonal
+    "pareto_correlated": dict(kind="pareto", n_samples=5_000,
+                              lambda_grid=[0.0, 0.1, 1.0, float("inf")],
+                              params={"a_star": [[1.0, 0.2], [0.0, 0.8]], "epsilon": 0.5,
+                                      "sigma_x": [[1.0, 0.3], [0.3, 0.5]],
+                                      "sigma_w": [[0.1, 0.02], [0.02, 0.2]],
+                                      "train": {"n_iters": 400, "batch_size": 16}}),
     "perturb": dict(kind="perturb",
                     params={"a": _A, "b": [0.3, -1.2, 0.7], "epsilon": 0.5}),
     # b = 0.1 u_2, u_2 the second left singular vector of _A: b has no top

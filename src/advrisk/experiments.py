@@ -27,6 +27,7 @@ from .kalman import (
     kalman_estimator,
     kalman_gap_lower_bound,
     kalman_gap_upper_bound,
+    observability_gramian,
 )
 from .model import LinearInverseProblem, RngStream
 from .risk import (
@@ -407,7 +408,7 @@ def _run_pareto(config: ExperimentConfig) -> ResultTable:
 
 
 def _kalman_row(system: LtiSystem, k: int, eps: float, n_samples: int, stream, system_id):
-    gram = system.gramian
+    gram = observability_gramian(system)
     nominal = kalman_estimator(system, k)
     sr = estimator_sr_closed(nominal, system, k)
     ar = estimator_ar_mc(nominal, system, k, eps, n_samples, stream)
@@ -483,7 +484,7 @@ def _run_fig_observability(config: ExperimentConfig) -> ResultTable:
     rows = []
     for alpha in alphas:
         system = rotation_system(alpha, horizon=horizon)
-        gram = system.gramian
+        gram = observability_gramian(system)
         for k in ks:
             rows += _frontier_rows(as_estimation_problem(system, k), config, eps,
                                    [alpha, k, gram.lambda_min, gram.min_singular_value])
@@ -509,7 +510,7 @@ def _run_fig_kf_vs_adv(config: ExperimentConfig) -> ResultTable:
     rows = []
     for rho in rhos:
         system = shear_system(rho, horizon=horizon)
-        gram = system.gramian
+        gram = observability_gramian(system)
         adapter = as_estimation_problem(system, k)
         nominal = adapter.nominal
         stream = RngStream(config.seed, _MC_STREAM)

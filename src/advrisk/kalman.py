@@ -14,7 +14,7 @@ the gramian's spectrum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .model import (
     CovarianceSpec,
     RngStream,
     check_fits_in_memory,
+    cholesky_factor,
     frozen_array,
     validate_covariance,
 )
@@ -95,47 +96,12 @@ class LtiSystem:
     def p(self) -> int:
         return self.c.shape[0]
 
-    # The system's arrays are read-only, so every constant derived from them
-    # is built on first use and kept on the instance; it cannot go stale.
-
-    @cached_property
-    def gramian(self) -> GramianSummary:
-        """``observability_gramian(self)``, kept (its gramian is read-only)."""
-        summary = observability_gramian(self)
-        _read_only(summary.gramian)
-        return summary
-
-    @cached_property
-    def _noise(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stacked noise covariances ``(Sigma_0, I_N (x) Sigma_w, I_{N+1} (x) Sigma_v)``."""
-        return _stacked_noise(self.sigma0.matrix, self.sigma_w.matrix, self.sigma_v.matrix,
-                              self.horizon)
-
-    @cached_property
-    def _colouring(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Cholesky factors of ``_noise`` in the same layout:
-        ``(L_0, I_N (x) L_w, I_{N+1} (x) L_v)``."""
-        return _stacked_noise(self.sigma0.cholesky, self.sigma_w.cholesky,
-                              self.sigma_v.cholesky, self.horizon)
-
-    @cached_property
-    def _by_k(self) -> dict[int, tuple]:
-        """``_kept(self, k)`` by estimation index ``k``."""
-        return {}
-
-
-def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Mark ``arrays`` read-only in place (a view keeps its layout) and
-    return them."""
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
-
 
 def _stacked_noise(initial, process, measurement, horizon: int):
-    """``(initial, I_N (x) process, I_{N+1} (x) measurement)``, read-only."""
-    return (initial, *_read_only(np.kron(np.eye(horizon), process),
-                                 np.kron(np.eye(horizon + 1), measurement)))
+    """``(initial, I_N (x) process, I_{N+1} (x) measurement)``: the stacked
+    noise covariances, or their colouring factors in the same layout."""
+    return (initial, np.kron(np.eye(horizon), process),
+            np.kron(np.eye(horizon + 1), measurement))
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,23 +194,18 @@ def is_observable(system: LtiSystem) -> bool:
     return bool(np.sum(s > 1e-10 * s[0]) == system.n)
 
 
-def _kept(system: LtiSystem, k: int) -> tuple[StackedModel, np.ndarray, np.ndarray, np.ndarray]:
+def _mmse(system: LtiSystem, k: int) -> tuple[StackedModel, np.ndarray, np.ndarray, np.ndarray]:
     """``(stacked, L, G_yy, G_xy)``: ``build_stacked(system, k)`` and the
     minimum-mean-square estimator ``L`` of ``x_k`` with the second moments it
     solves, ``G_yy`` the covariance of the stacked measurements and ``G_xy``
-    its cross term with ``x_k``.  Built on first use and kept on the system,
-    with read-only arrays."""
-    kept = system._by_k.get(k)
-    if kept is None:
-        stacked = build_stacked(system, k)
-        sigma0, iw, iv = system._noise
-        obs, tau = stacked.obs, stacked.toeplitz
-        g_yy = obs @ sigma0 @ obs.T + tau @ iw @ tau.T + iv
-        g_xy = stacked.a_pow_k @ sigma0 @ obs.T + stacked.gamma_k @ iw @ tau.T
-        _read_only(obs, tau, stacked.gamma_k, stacked.a_pow_k)
-        kept = (stacked, *_read_only(np.linalg.solve(g_yy.T, g_xy.T).T, g_yy, g_xy))
-        system._by_k[k] = kept
-    return kept
+    its cross term with ``x_k``."""
+    stacked = build_stacked(system, k)
+    sigma0, iw, iv = _stacked_noise(system.sigma0.matrix, system.sigma_w.matrix,
+                                   system.sigma_v.matrix, system.horizon)
+    obs, tau = stacked.obs, stacked.toeplitz
+    g_yy = obs @ sigma0 @ obs.T + tau @ iw @ tau.T + iv
+    g_xy = stacked.a_pow_k @ sigma0 @ obs.T + stacked.gamma_k @ iw @ tau.T
+    return stacked, np.linalg.solve(g_yy.T, g_xy.T).T, g_yy, g_xy
 
 
 def kalman_estimator(system: LtiSystem, k: int) -> np.ndarray:
@@ -252,9 +213,8 @@ def kalman_estimator(system: LtiSystem, k: int) -> np.ndarray:
 
     Filter for ``k = N``, smoother for ``k < N``.  Computed from the joint
     second moments; the measurement-noise term keeps the solve well posed.
-    The result is kept on the system and is read-only.
     """
-    return _kept(system, k)[1]
+    return _mmse(system, k)[1]
 
 
 def recursive_kf(system: LtiSystem, measurements) -> list[np.ndarray]:
@@ -298,8 +258,9 @@ def _residual_terms(l, system: LtiSystem, k: int):
     """The residual ``x_k - L Y`` as three (map, noise covariance) pairs:
     initial-state mismatch, process-noise mismatch, and measurement noise."""
     l = _check_estimator_shape(l, system)
-    stacked = _kept(system, k)[0]
-    sigma0, iw, iv = system._noise
+    stacked = build_stacked(system, k)
+    sigma0, iw, iv = _stacked_noise(system.sigma0.matrix, system.sigma_w.matrix,
+                                   system.sigma_v.matrix, system.horizon)
     return (
         (stacked.a_pow_k - l @ stacked.obs, sigma0),
         (stacked.gamma_k - l @ stacked.toeplitz, iw),
@@ -335,8 +296,9 @@ def simulate_rollouts(
     Row ``i`` is generated from the counter block of rollout
     ``base_index + i``; draws are shard-invariant.
     """
-    stacked = _kept(system, k)[0]
-    l0, lw, lv = system._colouring
+    stacked = build_stacked(system, k)
+    l0, lw, lv = _stacked_noise(cholesky_factor(system.sigma0), cholesky_factor(system.sigma_w),
+                                cholesky_factor(system.sigma_v), system.horizon)
     n, p, horizon = system.n, system.p, system.horizon
     width = n + n * horizon + p * (horizon + 1)
     z = stream.normal_block(base_index, count, width)
@@ -452,7 +414,7 @@ def kalman_gap_lower_bound(system: LtiSystem, k: int, epsilon: float) -> float:
     ``rho^(2k) sigma_0^2 + sigma_w^2 sum_{j=0}^{k-1} rho^(2j)``.
     """
     _check_k(system, k)
-    gram = system.gramian
+    gram = observability_gramian(system)
     sv_eigs = np.linalg.eigvalsh(system.sigma_v.matrix)
     sv_min, sv_norm = float(sv_eigs[0]), float(sv_eigs[-1])
     _, bar_max = _sigma_bar_extremes(system)
@@ -474,7 +436,7 @@ def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[f
     grows.
     """
     _check_k(system, k)
-    gram = system.gramian
+    gram = observability_gramian(system)
     bar_min, bar_max = _sigma_bar_extremes(system)
     sv_eigs = np.linalg.eigvalsh(system.sigma_v.matrix)
     sv_min, sv_norm = float(sv_eigs[0]), float(sv_eigs[-1])
@@ -505,7 +467,7 @@ def as_estimation_problem(system: LtiSystem, k: int) -> EstimationProblem:
     trained and frontier-traced with the same machinery as the plain
     measurement model.
     """
-    _, nominal, g_yy, g_xy = _kept(system, k)
+    _, nominal, g_yy, g_xy = _mmse(system, k)
 
     def sr_grad(l):
         return 2.0 * (l @ g_yy - g_xy)

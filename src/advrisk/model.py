@@ -5,9 +5,9 @@ the types defined here.  Sampling is counter-based: every sample index owns a
 fixed block of the underlying Philox counter space, so regenerating any slice
 of a batch -- in any sharding -- is bit-identical.
 
-Model arrays are read-only copies, so constants derived from them (Cholesky
-factors here, stacked Kalman matrices in ``kalman``) are computed once per
-object and reused on every draw.
+Model arrays are read-only copies of the caller's inputs.  Constants derived
+from them, such as Cholesky factors, are computed by each draw that uses
+them: a draw fills a whole block of rows, so they cost little.
 """
 
 from __future__ import annotations
@@ -79,13 +79,6 @@ class CovarianceSpec:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @cached_property
-    def cholesky(self) -> np.ndarray:
-        """``cholesky_factor(self)``, computed on first use and kept (read-only)."""
-        low = cholesky_factor(self)
-        low.flags.writeable = False
-        return low
 
 
 def validate_covariance(m, strict: bool = False, name: str = "covariance") -> CovarianceSpec:
@@ -247,8 +240,8 @@ def sample_batch(
     if count < 0:
         raise ValueError("count must be nonnegative")
     n, p = problem.n, problem.p
-    lx = problem.sigma_x.cholesky
-    lw = problem.sigma_w.cholesky
+    lx = cholesky_factor(problem.sigma_x)
+    lw = cholesky_factor(problem.sigma_w)
     z = stream.normal_block(base_index, count, n + p)
     xs = z[:, :n] @ lx.T
     ws = z[:, n:] @ lw.T

@@ -19,7 +19,6 @@ import numpy as np
 from .model import LinearInverseProblem, RngStream, check_fits_in_memory, sample_batch
 from .trs import SvdFactorization, svd_full, worst_case_batch
 
-DEFAULT_SAMPLES = 100_000
 # Rows per Monte Carlo block.  Each block-sized work array holds 4 096 x width
 # doubles (0.5 MB at width 16), so a block's working set stays near the L2
 # cache and a pass's memory does not grow with n_samples.
@@ -131,8 +130,8 @@ def mc_mean(a, draw, n_samples, stream, base_index, eps, column) -> RiskEstimate
 def adversarial_risk_mc(
     a,
     problem: LinearInverseProblem,
-    n_samples: int = DEFAULT_SAMPLES,
-    stream: RngStream = RngStream(0),
+    n_samples: int,
+    stream: RngStream,
     base_index: int = 0,
 ) -> RiskEstimate:
     """Monte Carlo adversarial risk: per sample ``||b||^2`` plus the exact
@@ -144,8 +143,8 @@ def adversarial_risk_mc(
 def ar_sr_gap_mc(
     a,
     problem: LinearInverseProblem,
-    n_samples: int = DEFAULT_SAMPLES,
-    stream: RngStream = RngStream(0),
+    n_samples: int,
+    stream: RngStream,
     base_index: int = 0,
 ) -> RiskEstimate:
     """Common-random-number estimate of ``AR(A) - SR(A)``.
@@ -161,8 +160,8 @@ def ar_sr_gap_mc(
 def gap_bounds_mc(
     a,
     problem: LinearInverseProblem,
-    n_samples: int = DEFAULT_SAMPLES,
-    stream: RngStream = RngStream(0),
+    n_samples: int,
+    stream: RngStream,
     base_index: int = 0,
 ) -> GapBounds:
     """Sandwich bounds ``2 eps E||A'(y-Ax)|| + eps^2 lambda_{min/max}(A'A)``.

@@ -128,7 +128,7 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
     if not w_zero.any():
         w_zero = None
     tol = ROOT_RTOL * tgt
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(MAX_ROOT_ITER):
             q = np.add.outer(mu, gaps)
             np.divide(1.0, q, out=q)
@@ -215,7 +215,8 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
                 np.full(m, BRANCH_DEGENERATE))
 
     bu = _rows_matmul(b_batch, fact.u[:, :r])  # (m, r) components b'u_i
-    w = (bu * s) ** 2
+    with np.errstate(over="ignore"):  # an overflowing row raises below
+        w = (bu * s) ** 2
     top = s >= s1 - CLUSTER_RTOL * max(s1, 1.0)
     gaps = np.where(top, 0.0, (s1 - s) * (s1 + s))
     wsum = np.add.reduce(w, axis=1)

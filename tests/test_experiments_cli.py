@@ -392,12 +392,23 @@ class TestCli:
         path.write_text(json.dumps({"params": {"a": [[2.0, 0.0], [0.0, 1.0]],
                                                "b": [1e160, 0.0], "epsilon": 0.5}}))
         out = tmp_path / "res.csv"
-        with np.errstate(over="ignore"):
-            assert main(["perturb", "--config", str(path), "--out", str(out)]) == 3
-            assert main(["perturb", "--config", str(path)]) == 3
+        assert main(["perturb", "--config", str(path), "--out", str(out)]) == 3
+        assert main(["perturb", "--config", str(path)]) == 3
         assert not out.exists()
         captured = capsys.readouterr()
         assert captured.out == "" and "overflow" in captured.err
+
+    def test_overflowing_newton_point_is_silent(self, tmp_path, capsys):
+        # The Newton numerator overflows at the left bracket; the row bisects
+        # as designed, so the result is right and no warning reaches stderr.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"a": [[2.0, 0.0], [0.0, 1.0]],
+                                               "b": [1e-150, 1e150], "epsilon": 0.5}}))
+        assert main(["perturb", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        row = dict(zip(*(line.split(",") for line in captured.out.splitlines())))
+        assert float(row["objective_gain"]) == pytest.approx(1e150)
+        assert row["branch_code"] == "0" and captured.err == ""
 
     @pytest.mark.parametrize("content", [b"[1, 2]", b'"risk"', b'{"seed": "\xff"}'],
                              ids=["array", "string", "not-utf8"])

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from advrisk import kalman, model
 from advrisk.kalman import (
     LtiSystem,
     as_estimation_problem,
@@ -21,9 +20,8 @@ from advrisk.kalman import (
     residual_covariance,
     simulate_rollouts,
 )
-from advrisk.experiments import ExperimentConfig, rotation_system, run_experiment, shear_system
+from advrisk.experiments import ExperimentConfig, rotation_system, run_experiment
 from advrisk.model import RngStream
-from advrisk.training import TrainConfig, train
 from conftest import random_spd
 
 
@@ -367,7 +365,7 @@ class TestEstimationAdapter:
         assert np.array_equal(xs, ys2) and np.array_equal(ys, xk2)
 
 
-class TestKeptConstants:
+class TestSystemArrays:
     def test_system_matrices_are_read_only_copies(self):
         a = np.array([[1.0, 0.5], [0.0, 1.0]])
         c = np.array([[1.0, 0.0]])
@@ -385,53 +383,8 @@ class TestKeptConstants:
                                sigma0=[[1.0, 0.3], [0.3, 0.8]], sigma_w=[[0.1, 0.02], [0.02, 0.2]],
                                horizon=horizon)
 
-        kept, stream = build(), RngStream(4, 9)
+        reused, stream = build(), RngStream(4, 9)
         for k, base in ((0, 0), (min(2, horizon), 16), (0, 16), (horizon, 3), (0, 0)):
-            got = simulate_rollouts(kept, k, 16, stream, base)
+            got = simulate_rollouts(reused, k, 16, stream, base)
             want = simulate_rollouts(build(), k, 16, RngStream(4, 9), base)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-
-    def test_training_builds_constants_once(self, monkeypatch):
-        calls = {"build_stacked": 0, "cholesky_factor": 0, "observability_gramian": 0}
-
-        def counted(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(kalman, "build_stacked")
-        counted(kalman, "observability_gramian")
-        counted(model, "cholesky_factor")
-        system = shear_system(0.5)
-        adapter = as_estimation_problem(system, 0)
-        robust = train(adapter, TrainConfig(lam=float("inf"), epsilon=0.5, n_iters=200, seed=0))
-        for _ in range(3):
-            adapter.sr_closed(robust)
-            residual_covariance(robust, system, 0)
-            nominal = kalman_estimator(system, 0)
-            gap_lower_bounds(nominal, system, 0, 0.5)
-            gap_upper_bound_general(nominal, system, 0, 0.5)
-            kalman_gap_lower_bound(system, 0, 0.5)
-            kalman_gap_upper_bound(system, 0, 0.5)
-        # one stacked model shared by the MMSE solve, the rollouts, the
-        # closed-form risks and the bounds; one factor per covariance; none
-        # per SGD step or per call
-        assert calls["build_stacked"] == 1
-        assert calls["observability_gramian"] <= 1
-        assert calls["cholesky_factor"] <= 3
-
-    def test_kept_gramian_and_estimator(self):
-        system = make_system([[0.9, 0.4], [-0.2, 1.0]], [[1.0, 0.5]], horizon=3)
-        kept, fresh = system.gramian, observability_gramian(system)
-        assert kept is system.gramian
-        assert kept.gramian.tobytes() == fresh.gramian.tobytes()
-        assert (kept.lambda_min, kept.frobenius) == (fresh.lambda_min, fresh.frobenius)
-        estimator = kalman_estimator(system, 1)
-        assert estimator is as_estimation_problem(system, 1).nominal
-        for arr in (kept.gramian, estimator):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[0, 0] = 3.0

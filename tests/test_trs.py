@@ -203,7 +203,7 @@ class TestWorstCasePerturbation:
         # (b'u_i sigma_i)^2 overflows to inf: a silent easy row with delta = 0,
         # gain 0 and lambda = inf would be wrong, since the true gain is at
         # least 2 eps ||A'b|| >= 1e160
-        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="overflow"):
+        with pytest.raises(FloatingPointError, match="overflow"):
             worst_case_batch(np.diag([2.0, 1.0]), np.array([b, [1.0, 1.0]]), 0.5)
 
     def test_batch_shape_checked(self):
@@ -325,16 +325,18 @@ class TestActiveRowCompaction:
         w[3, [0, 1]] = 1e-300, 1e308
         if zero_weight:
             w[2:, 7] = 0.0
+        # only the test's own arithmetic may warn; the kernel must not
         with np.errstate(over="ignore", invalid="ignore"):
             lo = np.sqrt(w[:, 0]) / _EPS_SLOW
             q = 1.0 / (lo[:, None] + _GAPS)
             f = (w * q * q).sum(axis=1)
             newton = lo - f * (1.0 - np.sqrt(f) / _EPS_SLOW) / (w * q * q * q).sum(axis=1)
-            assert newton[2] == np.inf and np.isnan(newton[3])
-            whole = _secular_mu(w, _GAPS, _EPS_SLOW)
-            assert np.array_equal(whole, _reference_secular_mu(w, _GAPS, _EPS_SLOW))
-            for i in range(4):
-                assert np.array_equal(_secular_mu(w[[i]], _GAPS, _EPS_SLOW), whole[[i]])
+            reference = _reference_secular_mu(w, _GAPS, _EPS_SLOW)
+        assert newton[2] == np.inf and np.isnan(newton[3])
+        whole = _secular_mu(w, _GAPS, _EPS_SLOW)
+        assert np.array_equal(whole, reference)
+        for i in range(4):
+            assert np.array_equal(_secular_mu(w[[i]], _GAPS, _EPS_SLOW), whole[[i]])
 
     @pytest.mark.parametrize("rows, eps, dense", [
         (_mixed_sweep_rows, _EPS_SLOW, False), (_hard_easy_rows, 0.5, False),
