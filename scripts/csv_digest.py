@@ -3,8 +3,9 @@
 
 The set is the three quick figures (sizes as in ``reproduce_figures.py
 --quick``) plus ``risk`` (also at a size whose last sampling block is one
-row), ``bounds`` (at a = A* and at a != A*),
-``pareto`` (also at a size whose last training block is one step),
+row, and at n = 16 with a 12-wide top singular cluster), ``bounds`` (at
+a = A* and at a != A*), ``pareto`` (also at a size whose last training
+block is one step),
 ``perturb`` on an easy row and on a hard one (branch_code 1),
 ``kalman-bounds`` at horizon 5, at horizon 0 (no process noise in the
 stacked model) and on two ``systems`` entries of horizons 3 and 5 with no
@@ -27,11 +28,17 @@ import hashlib
 import pathlib
 import sys
 
+import numpy as np
+
 from advrisk.experiments import ExperimentConfig, run_experiment
 from reproduce_figures import FULL, figure_config
 
 _A_STAR = [[1.0, 0.3, 0.0], [0.2, 0.8, 0.1], [0.0, -0.4, 0.6]]
 _A = [[0.9, 0.2, 0.1], [0.1, 0.7, 0.0], [0.0, -0.3, 0.5]]
+# n = 16 with singular values 1 (twelve times), 0.5, 0.3, 0.2 and 0.1: the
+# inner solve's sums run over a 12-wide top cluster
+_Q16 = np.linalg.qr(np.random.default_rng(0).standard_normal((16, 16)))[0]
+_A_STAR16 = _Q16 * np.concatenate([np.ones(12), [0.5, 0.3, 0.2, 0.1]])
 
 # name -> ExperimentConfig fields; MC sizes exceed one sampling block
 # (risk._GEN_CHUNK rows) so the chunked path is covered; so do the training
@@ -42,6 +49,9 @@ EXTRA = {
     # one row past a multiple of 4 096 and of 8 192: the pass ends in a 1-row block
     "risk_1row_tail": dict(kind="risk", n_samples=16_385,
                            params={"a_star": _A_STAR, "a": _A, "epsilon": 0.5}),
+    "risk_n16": dict(kind="risk", n_samples=40_000,
+                     params={"a_star": _A_STAR16.tolist(), "a": (0.9 * _A_STAR16).tolist(),
+                             "epsilon": 0.5}),
     "bounds_astar": dict(kind="bounds", n_samples=40_000,
                          params={"a_star": _A_STAR, "epsilon": 0.5}),
     "bounds_a": dict(kind="bounds", n_samples=40_000,

@@ -194,18 +194,17 @@ def is_observable(system: LtiSystem) -> bool:
     return bool(np.sum(s > 1e-10 * s[0]) == system.n)
 
 
-def _mmse(system: LtiSystem, k: int) -> tuple[StackedModel, np.ndarray, np.ndarray, np.ndarray]:
-    """``(stacked, L, G_yy, G_xy)``: ``build_stacked(system, k)`` and the
-    minimum-mean-square estimator ``L`` of ``x_k`` with the second moments it
-    solves, ``G_yy`` the covariance of the stacked measurements and ``G_xy``
-    its cross term with ``x_k``."""
+def _mmse(system: LtiSystem, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(L, G_yy, G_xy)``: the minimum-mean-square estimator ``L`` of
+    ``x_k`` with the second moments it solves, ``G_yy`` the covariance of the
+    stacked measurements and ``G_xy`` its cross term with ``x_k``."""
     stacked = build_stacked(system, k)
     sigma0, iw, iv = _stacked_noise(system.sigma0.matrix, system.sigma_w.matrix,
                                    system.sigma_v.matrix, system.horizon)
     obs, tau = stacked.obs, stacked.toeplitz
     g_yy = obs @ sigma0 @ obs.T + tau @ iw @ tau.T + iv
     g_xy = stacked.a_pow_k @ sigma0 @ obs.T + stacked.gamma_k @ iw @ tau.T
-    return stacked, np.linalg.solve(g_yy.T, g_xy.T).T, g_yy, g_xy
+    return np.linalg.solve(g_yy.T, g_xy.T).T, g_yy, g_xy
 
 
 def kalman_estimator(system: LtiSystem, k: int) -> np.ndarray:
@@ -214,7 +213,7 @@ def kalman_estimator(system: LtiSystem, k: int) -> np.ndarray:
     Filter for ``k = N``, smoother for ``k < N``.  Computed from the joint
     second moments; the measurement-noise term keeps the solve well posed.
     """
-    return _mmse(system, k)[1]
+    return _mmse(system, k)[0]
 
 
 def recursive_kf(system: LtiSystem, measurements) -> list[np.ndarray]:
@@ -305,6 +304,7 @@ def simulate_rollouts(
     x0 = z[:, :n] @ l0.T
     w = z[:, n : n + n * horizon] @ lw.T
     v = z[:, n + n * horizon :] @ lv.T
+    del z
     ys = x0 @ stacked.obs.T
     ys += w @ stacked.toeplitz.T
     ys += v
@@ -467,7 +467,7 @@ def as_estimation_problem(system: LtiSystem, k: int) -> EstimationProblem:
     trained and frontier-traced with the same machinery as the plain
     measurement model.
     """
-    _, nominal, g_yy, g_xy = _mmse(system, k)
+    nominal, g_yy, g_xy = _mmse(system, k)
 
     def sr_grad(l):
         return 2.0 * (l @ g_yy - g_xy)

@@ -245,6 +245,7 @@ def sample_batch(
     z = stream.normal_block(base_index, count, n + p)
     xs = z[:, :n] @ lx.T
     ws = z[:, n:] @ lw.T
+    del z
     ys = xs @ problem.a_star.T
     ys += ws
     return xs, ys

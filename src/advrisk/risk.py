@@ -21,7 +21,10 @@ from .trs import SvdFactorization, svd_full, worst_case_batch
 
 # Rows per Monte Carlo block.  Each block-sized work array holds 4 096 x width
 # doubles (0.5 MB at width 16), so a block's working set stays near the L2
-# cache and a pass's memory does not grow with n_samples.
+# cache and a pass's memory does not grow with n_samples.  A block holds at
+# most six such arrays at once, in the inner solve's root find: the residuals,
+# their singular-basis components, the weights twice while converged rows are
+# compacted out, and one sweep's two buffers.
 _GEN_CHUNK = 4_096
 # Samples per partial sum of a Monte Carlo mean.  Fixed shards, added in index
 # order, pin the reduction tree, so a mean does not depend on the chunking.
@@ -103,13 +106,16 @@ def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):
     a = np.asarray(a, dtype=float)
     fact = svd_full(a)
     out = {key: np.empty(n_samples) for key in want}
-    for start in range(0, n_samples, _GEN_CHUNK):
-        cnt = min(_GEN_CHUNK, n_samples - start)
-        # a 1-row matmul takes BLAS's matrix-vector path, which rounds unlike
-        # the same row in a larger call: draw and solve 2 rows, keep cnt
+
+    def fill(start, cnt):
+        # The block's arrays are locals here, so they are freed before the
+        # next block is drawn.  A 1-row matmul takes BLAS's matrix-vector
+        # path, which rounds unlike the same row in a larger call: draw and
+        # solve 2 rows, keep cnt.
         inputs, targets = draw(max(cnt, 2), stream, base_index + start)
         b = inputs @ a.T
         np.subtract(targets, b, out=b)
+        del inputs, targets
         cols = {"sq": (b * b).sum(axis=1)}
         if "gain" in out or "value" in out:
             cols["gain"] = worst_case_batch(fact, b, eps)[1]
@@ -118,6 +124,9 @@ def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):
             cols["cross"] = np.linalg.norm(b @ a, axis=1)
         for key, col in out.items():
             col[start : start + cnt] = cols[key][:cnt]
+
+    for start in range(0, n_samples, _GEN_CHUNK):
+        fill(start, min(_GEN_CHUNK, n_samples - start))
     return fact, out
 
 

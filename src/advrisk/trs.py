@@ -148,6 +148,7 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
                 return out
             wqq *= q  # w q^3: phi'(mu) = f^(-3/2) sum w q^3
             newton = mu - f * (1.0 - np.sqrt(f) / eps) / np.add.reduce(wqq, axis=1)
+            del q, wqq  # freed before the next sweep allocates its own
             if keep.size < rows.size:
                 rows, mu, lo, hi, newton = (v[keep] for v in (rows, mu, lo, hi, newton))
                 w = w[keep]
@@ -214,49 +215,56 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
         return (np.zeros((m, fact.n)), np.zeros(m), np.full(m, s1 * s1),
                 np.full(m, BRANCH_DEGENERATE))
 
-    bu = _rows_matmul(b_batch, fact.u[:, :r])  # (m, r) components b'u_i
-    with np.errstate(over="ignore"):  # an overflowing row raises below
+    # Overflow and its inf - inf are not errors here: a row whose weights
+    # overflow raises below, an infinite gain is reported as inf, and a NaN
+    # one reaches run_experiment's NaN check.
+    with np.errstate(over="ignore", invalid="ignore"):
+        bu = _rows_matmul(b_batch, fact.u[:, :r])  # (m, r) components b'u_i
         w = (bu * s) ** 2
-    top = s >= s1 - CLUSTER_RTOL * max(s1, 1.0)
-    gaps = np.where(top, 0.0, (s1 - s) * (s1 + s))
-    wsum = np.add.reduce(w, axis=1)
-    if not np.isfinite(wsum).all():
-        raise FloatingPointError("inner-adversary weights overflow: residual too large")
-    # The top cluster is a prefix holding sigma_1; alone in it, sigma_1's
-    # weight is the first column, as the row sum gives it bit for bit.
-    w_top = _row_dot(w, np.where(top, 1.0, 0.0)) if r > 1 and top[1] else w[:, 0]
-    s_low = _row_dot(w, np.where(top, 0.0, 1.0 / np.where(gaps > 0.0, gaps, 1.0) ** 2))
+        top = s >= s1 - CLUSTER_RTOL * max(s1, 1.0)
+        gaps = np.where(top, 0.0, (s1 - s) * (s1 + s))
+        wsum = np.add.reduce(w, axis=1)
+        if not np.isfinite(wsum).all():
+            raise FloatingPointError("inner-adversary weights overflow: residual too large")
+        # The top cluster is a prefix holding sigma_1; alone in it, sigma_1's
+        # weight is the first column, as the row sum gives it bit for bit.
+        w_top = _row_dot(w, np.where(top, 1.0, 0.0)) if r > 1 and top[1] else w[:, 0]
+        s_low = _row_dot(w, np.where(top, 0.0, 1.0 / np.where(gaps > 0.0, gaps, 1.0) ** 2))
 
-    # Hard case: dual sticks at s1^2.  Requires the residual budget after the
-    # pseudoinverse component, and a numerically-zero top-cluster weight
-    # (otherwise stationarity at s1^2 is violated and the easy root exists).
-    hard = s_low < eps * eps * (1.0 - HARD_MARGIN)
-    any_hard = hard.any()
-    if any_hard:
-        hard &= np.sqrt(w_top) <= HARD_MARGIN * (s1 * s1 * eps + np.sqrt(wsum))
+        # Hard case: dual sticks at s1^2.  Requires the residual budget after the
+        # pseudoinverse component, and a numerically-zero top-cluster weight
+        # (otherwise stationarity at s1^2 is violated and the easy root exists).
+        hard = s_low < eps * eps * (1.0 - HARD_MARGIN)
         any_hard = hard.any()
+        if any_hard:
+            hard &= np.sqrt(w_top) <= HARD_MARGIN * (s1 * s1 * eps + np.sqrt(wsum))
+            any_hard = hard.any()
 
-    # mu = lambda - s1^2: the secular root on easy rows, 0 on hard rows.  With
-    # every row easy the batch is solved whole, with no gathers.
-    if any_hard:
-        easy = (~hard).nonzero()[0]
-        mu = np.zeros(m)
-        mu[easy] = _secular_mu(w[easy], gaps, eps, w_top[easy], wsum[easy])
-    else:
-        mu = _secular_mu(w, gaps, eps, w_top, wsum)
-    # Stationarity gives delta's components in the right singular basis (first
-    # r coordinates; the rest are always zero).  Top components of hard rows
-    # have a zero denominator; the first top direction (sigma_1's) takes up the
-    # budget the others leave.
-    denom = np.add.outer(mu, gaps)
-    positive = denom > 0.0
-    coords = np.where(positive, -bu * s / np.where(positive, denom, 1.0), 0.0)
-    if any_hard:
-        coords[hard, 0] = np.sqrt(np.maximum(eps * eps - s_low[hard], 0.0))
+        # mu = lambda - s1^2: the secular root on easy rows, 0 on hard rows.  With
+        # every row easy the batch is solved whole, with no gathers.
+        if any_hard:
+            easy = (~hard).nonzero()[0]
+            mu = np.zeros(m)
+            mu[easy] = _secular_mu(w[easy], gaps, eps, w_top[easy], wsum[easy])
+        else:
+            mu = _secular_mu(w, gaps, eps, w_top, wsum)
+        del w  # block-sized and read no further
+        # Stationarity gives delta's components in the right singular basis (first
+        # r coordinates; the rest are always zero).  Top components of hard rows
+        # have a zero denominator; the first top direction (sigma_1's) takes up the
+        # budget the others leave.  coords is formed in place in one buffer.
+        denom = np.add.outer(mu, gaps)
+        positive = denom > 0.0
+        coords = np.negative(bu)
+        coords *= s
+        np.divide(coords, denom, out=coords, where=positive)
+        np.copyto(coords, 0.0, where=~positive)
+        if any_hard:
+            coords[hard, 0] = np.sqrt(np.maximum(eps * eps - s_low[hard], 0.0))
 
-    # Objective evaluated in the singular basis: exact for the coordinates.
-    gains = _row_dot(coords * coords, s * s) - 2.0 * _row_dot(coords * bu, s)
-    deltas = _rows_matmul(coords, fact.v[:, :r].T)
+        # Objective evaluated in the singular basis: exact for the coordinates.
+        gains = _row_dot(coords * coords, s * s) - 2.0 * _row_dot(coords * bu, s)
+        deltas = _rows_matmul(coords, fact.v[:, :r].T)
     return deltas, gains, s1 * s1 + mu, np.where(hard, BRANCH_HARD, BRANCH_EASY)
 
 

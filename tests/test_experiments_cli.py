@@ -501,6 +501,23 @@ class TestCli:
         assert t1.metadata["seed"] == "1" and t2.metadata["seed"] == "2"
         assert t1.metadata["config_hash"] != t2.metadata["config_hash"]
 
+    @pytest.mark.parametrize("params, code, shown", [
+        ({"a": [[1e200, 0.0], [0.0, 1.0]], "b": [1e-300, 2.0], "epsilon": 0.5}, 0, "inf,inf"),
+        ({"a": [[1.0, 0.0], [0.0, 1.0]], "b": [1.0, 2.0], "epsilon": 1e160}, 3, "NaN"),
+    ], ids=["infinite-gain", "nan-gain"])
+    def test_overflow_in_the_solve_warns_nothing(self, tmp_path, params, code, shown):
+        # an infinite gain is reported, a NaN one is a numerical failure;
+        # neither prints a RuntimeWarning
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": params}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "advrisk", "perturb", "--config", str(cfg_path)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert shown in proc.stdout + proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_module_entry_point(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"params": {"a": [[2.0]], "b": [3.0],

@@ -220,15 +220,26 @@ def test_engine_split_invariance(case, split):
     assert np.all(whole["gain"] > 0.0)
 
 
-def test_engine_memory_is_bounded_by_the_block():
-    # Block-sized temporaries scale with _GEN_CHUNK * width, not n_samples:
-    # one n = 16, 100 000-sample pass holds its four 0.8 MB output columns
-    # and a few blocks' worth of work arrays, well under 16 MB.
+def _traced_peak_mb(columns):
     a, draw = _plain16_case()
     tracemalloc.start()
     try:
-        _mc_columns(a, draw, 100_000, RngStream(5), 0, 0.5, _COLUMNS)
-        peak = tracemalloc.get_traced_memory()[1]
+        _mc_columns(a, draw, 100_000, RngStream(5), 0, 0.5, columns)
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20, f"{peak / 2**20:.1f} MB"
+
+
+def test_engine_memory_is_bounded_by_the_block():
+    # Block-sized temporaries scale with _GEN_CHUNK * width, not n_samples:
+    # one n = 16, 100 000-sample pass holds its four 0.8 MB output columns
+    # and one block's work arrays (0.5 MB each), which die with the block.
+    peak = _traced_peak_mb(_COLUMNS)
+    assert peak < 7.0, f"{peak:.2f} MB"
+
+
+def test_engine_value_pass_memory_is_bounded_by_the_block():
+    # the pass that every adversarial risk makes: one output column, and at
+    # its peak the inner solve's arrays for one block
+    peak = _traced_peak_mb(("value",))
+    assert peak < 4.5, f"{peak:.2f} MB"
