@@ -80,6 +80,9 @@ class ExperimentConfig:
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         if not isinstance(self.svg, bool):
             raise ConfigError(f"svg must be true or false, got {self.svg!r}")
+        if self.lambda_grid is not None and self.kind not in _SWEEPING_KINDS:
+            raise ConfigError(f"{self.kind} sweeps no lambda, so it takes no lambda_grid; "
+                              f"only {', '.join(_SWEEPING_KINDS)} do")
         _known(self.params, _RUNNERS[self.kind][1], "params")
 
     @classmethod
@@ -550,6 +553,8 @@ _RUNNERS = {
                       {"rhos", "n_rhos", "k", "horizon", "epsilon", "train"}),
 }
 EXPERIMENT_KINDS = tuple(_RUNNERS)
+# the kinds whose runners call _frontier_rows, the only reader of lambda_grid
+_SWEEPING_KINDS = ("pareto", "fig-condition", "fig-observability")
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:

@@ -3,7 +3,9 @@
 Everything downstream (risk estimation, training, state estimation) consumes
 the types defined here.  Sampling is counter-based: every sample index owns a
 fixed block of the underlying Philox counter space, so regenerating any slice
-of a batch -- in any sharding -- is bit-identical.
+of a batch -- in any sharding -- is bit-identical.  A stream holds only its
+``(seed, stream_id)`` and seeds a fresh generator for each draw, so it is a
+pure value that any number of threads may share.
 
 Model arrays are read-only copies of the caller's inputs.  Constants derived
 from them, such as Cholesky factors, are computed by each draw that uses
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -184,21 +185,12 @@ class RngStream:
     (i + 1) * blocks_per_sample)``, so draws are reproducible regardless of
     how a batch is split across calls or worker shards.
 
-    An instance seeds one Philox generator on first use and keeps it: each
-    draw resets it to its seeded state and advances it to the first block,
-    which gives the same bits as seeding afresh.  Do not share one instance
-    across threads; equal-valued instances have their own generators and
-    are independent of each other.
+    Each draw seeds its own Philox generator and keeps nothing, so one
+    instance may be shared across threads.
     """
 
     seed: int
     stream_id: int = 0
-
-    @cached_property
-    def _seeded(self) -> tuple[Generator, dict]:
-        """The kept generator and the state it was seeded with."""
-        bg = Philox(seed=SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,)))
-        return Generator(bg), bg.state
 
     def normal_block(self, base_index: int, count: int, width: int) -> np.ndarray:
         """``(count, width)`` standard normals; row ``i`` belongs to sample
@@ -215,12 +207,10 @@ class RngStream:
         blocks = -(-width // _WORDS_PER_BLOCK)
         check_fits_in_memory(8 * count * blocks * _WORDS_PER_BLOCK,
                              f"a block of {count} x {width} normals")
-        gen, seeded = self._seeded
-        bg = gen.bit_generator
-        bg.state = seeded
+        bg = Philox(seed=SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,)))
         if base_index:
             bg.advance(base_index * blocks)
-        u = gen.random((count, blocks * _WORDS_PER_BLOCK))[:, :width]
+        u = Generator(bg).random((count, blocks * _WORDS_PER_BLOCK))[:, :width]
         np.maximum(u, _U_FLOOR, out=u)
         return ndtri(u, out=u)
 
@@ -237,8 +227,6 @@ def sample_batch(
     from the counter block of sample ``base_index + i``; ``ys = xs A*' + ws``
     is constructed exactly, never re-sampled.
     """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
     n, p = problem.n, problem.p
     lx = cholesky_factor(problem.sigma_x)
     lw = cholesky_factor(problem.sigma_w)

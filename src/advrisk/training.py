@@ -71,7 +71,7 @@ def problem_adapter(problem: LinearInverseProblem) -> EstimationProblem:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """SGD hyperparameters.
 
@@ -91,6 +91,10 @@ class TrainConfig:
     init: str | np.ndarray = "nominal"
 
     def __post_init__(self):
+        for name in ("lam", "epsilon", "step_decay"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         if math.isnan(self.lam) or not math.isfinite(self.epsilon):
             raise ValueError(f"lam must not be NaN and epsilon must be finite, "
                              f"got lam={self.lam}, epsilon={self.epsilon}")
@@ -133,9 +137,7 @@ def _init_matrix(config: TrainConfig, adapter: EstimationProblem) -> np.ndarray:
         return a0
     if config.init == "nominal":
         return adapter.nominal.copy()
-    if config.init == "zeros":
-        return np.zeros(adapter.nominal.shape)
-    raise ValueError(f"unknown init {config.init!r}")
+    return np.zeros(adapter.nominal.shape)
 
 
 def _ar_batch_grad(a, xs, ys, eps: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from scipy import stats
 from advrisk import trs
 from advrisk.cli import main
 from advrisk.experiments import (
+    _SWEEPING_KINDS,
     ConfigError,
     ExperimentConfig,
     ResultTable,
@@ -45,7 +46,7 @@ def _sized(case, size):
 
 class TestExperimentConfig:
     def test_round_trip(self):
-        cfg = ExperimentConfig(kind="risk", params={"a_star": [[1.0]]}, seed=3,
+        cfg = ExperimentConfig(kind="pareto", params={"a_star": [[1.0]]}, seed=3,
                                n_samples=500, lambda_grid=[0.0, 1.0], output_path="x.csv")
         again = ExperimentConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert again == cfg
@@ -305,18 +306,19 @@ class TestCli:
         assert "config error" in err and "more memory than is available" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command, params", [
-        (["kalman"], {"alphas": [0.95]}),
-        (["experiment", "fig-observability"], {"alphas": [0.95], "train": {"n_iters": 3}}),
-        (["experiment", "fig-kf-vs-adv"], {"rhos": [0.5], "train": {"n_iters": 3}}),
+    @pytest.mark.parametrize("command, params, top", [
+        (["kalman"], {"alphas": [0.95]}, {}),
+        (["experiment", "fig-observability"], {"alphas": [0.95], "train": {"n_iters": 3}},
+         {"lambda_grid": [0.0]}),
+        (["experiment", "fig-kf-vs-adv"], {"rhos": [0.5], "train": {"n_iters": 3}}, {}),
     ], ids=["kalman-bounds", "fig-observability", "fig-kf-vs-adv"])
     def test_huge_horizon_is_config_error_before_allocating(self, tmp_path, capsys, command,
-                                                            params):
+                                                            params, top):
         path = tmp_path / "cfg.json"
 
         def run(horizon):
             path.write_text(json.dumps({"params": dict(params, horizon=horizon),
-                                        "n_samples": 10, "lambda_grid": [0.0]}))
+                                        "n_samples": 10, **top}))
             return main([*command, "--config", str(path)])
 
         tracemalloc.start()
@@ -333,6 +335,8 @@ class TestCli:
     @pytest.mark.parametrize("field, value", [
         ("seed", 1.5), ("n_samples", True), ("output_path", 7),
         pytest.param("output_path", ["x"], id="output_path-list"), ("svg", "no"),
+        # risk sweeps no lambda, so a well-formed grid is still an error
+        pytest.param("lambda_grid", [0.0, 1.0], id="lambda_grid-stray"),
     ])
     def test_non_integer_field_is_config_error(self, tmp_path, field, value):
         path = tmp_path / "cfg.json"
@@ -604,7 +608,9 @@ def _corruptions(kind):
 @given(data=st.data(), kind=st.sampled_from(sorted(_TINY)))
 def test_fuzzed_configs_exit_cleanly(tmp_path, capsys, data, kind):
     config = json.loads(json.dumps(_TINY[kind]))
-    config.update(seed=1, n_samples=64, lambda_grid=[0.0, 0.3, math.inf])
+    config.update(seed=1, n_samples=64)
+    if kind in _SWEEPING_KINDS:
+        config["lambda_grid"] = [0.0, 0.3, math.inf]
     for where, key, value in data.draw(_corruptions(kind)):
         target = {"top": config, "params": config["params"],
                   "train": config["params"].get("train")}[where]

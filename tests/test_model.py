@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def _reference_normals(seed, stream_id, base_index, count, width):
     return ndtri(np.clip(u, 2.0**-54, 1.0 - 2.0**-54))
 
 
-class TestKeptGenerator:
+class TestFreshSeeding:
     def test_interleaved_streams_match_fresh_seeding(self):
         # Two streams on one seed, one of them read at shuffled offsets: each
         # draw must equal a generator seeded afresh for it.
@@ -166,6 +167,28 @@ class TestKeptGenerator:
         a.normal_block(500, 10, 3)
         assert np.array_equal(b.normal_block(0, 4, 3), _reference_normals(8, 1, 0, 4, 3))
         assert np.array_equal(a.normal_block(0, 4, 3), b.normal_block(0, 4, 3))
+
+    def test_shared_stream_across_threads_matches_serial_draws(self):
+        # Each draw seeds its own generator, so two threads drawing from one
+        # instance at interleaved offsets get the bits of serial draws.
+        stream = RngStream(3, 7)
+        bases = range(0, 250 * 64, 64)
+        want = [stream.normal_block(base, 64, 6) for base in bases]
+        start = threading.Barrier(2)
+
+        def draw_all(out):
+            start.wait()
+            out.extend(stream.normal_block(base, 64, 6) for base in bases)
+
+        results = [[], []]
+        threads = [threading.Thread(target=draw_all, args=(out,)) for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for got in results:
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestReadOnlyArrays:

@@ -201,6 +201,9 @@ class TestTrain:
         ("n_iters", 2.5), ("n_iters", True), ("n_iters", 0), ("n_iters", "10"),
         ("batch_size", True), ("batch_size", 32.0), ("batch_size", -1),
         ("seed", -1), ("seed", 1.5), ("seed", True),
+        # the real-valued fields take no bool and no string either
+        ("lam", True), ("lam", "1"), ("epsilon", True), ("epsilon", "0.5"),
+        ("step_decay", True), ("step_decay", "0.5"),
     ])
     def test_bad_integer_fields_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
