@@ -46,7 +46,7 @@ _A_STAR16 = _Q16 * np.concatenate([np.ones(12), [0.5, 0.3, 0.2, 0.1]])
 EXTRA = {
     "risk": dict(kind="risk", n_samples=40_000,
                  params={"a_star": _A_STAR, "a": _A, "epsilon": 0.5}),
-    # one row past a multiple of 4 096 and of 8 192: the pass ends in a 1-row block
+    # 8 x 2 048 + 1 rows: the pass ends in a 1-row block
     "risk_1row_tail": dict(kind="risk", n_samples=16_385,
                            params={"a_star": _A_STAR, "a": _A, "epsilon": 0.5}),
     "risk_n16": dict(kind="risk", n_samples=40_000,
@@ -81,7 +81,7 @@ EXTRA = {
     "pareto": dict(kind="pareto", n_samples=5_000, lambda_grid=[0.0, 0.1, 1.0, float("inf")],
                    params={"a_star": [[1.0, 0.2], [0.0, 0.8]], "epsilon": 0.5,
                            "train": {"n_iters": 400, "batch_size": 16}}),
-    # 4 096 // 24 = 170 steps per block: each run's second block holds one step
+    # 2 048 // 24 = 85 steps per block: 171 = 2 x 85 + 1 steps end in a 1-step block
     "pareto_block_tail": dict(kind="pareto", n_samples=5_000,
                               lambda_grid=[0.0, 0.1, 1.0, float("inf")],
                               params={"a_star": [[1.0, 0.2], [0.0, 0.8]], "epsilon": 0.5,

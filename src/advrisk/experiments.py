@@ -48,7 +48,7 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a kind, its parameters, and reproducibility keys.
 
@@ -145,10 +145,13 @@ def _known(obj, keys: set, where: str) -> dict:
 
 
 def _numbers(params: dict, name: str, default, **limits) -> list:
-    """``params[name]`` (or ``default``) as a list of ``_number`` values."""
+    """``params[name]`` (or ``default``) as a nonempty list of ``_number``
+    values, so a sweep never writes a table with no rows."""
     values = params.get(name, default)
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{name} must be a list, got {values!r}")
+    if not values:
+        raise ConfigError(f"{name} must be nonempty")
     return [_number(v, name, **limits) for v in values]
 
 
@@ -448,15 +451,15 @@ def _run_kalman_bounds(config: ExperimentConfig) -> ResultTable:
         systems = [rotation_system(al, horizon=horizon)
                    for al in _numbers(params, "alphas", None)]
     elif "systems" in params:
-        if not isinstance(params["systems"], list):
-            raise ConfigError("systems must be a list of system objects")
+        if not isinstance(params["systems"], list) or not params["systems"]:
+            raise ConfigError("systems must be a nonempty list of system objects")
         systems = [_system_from_params(_known(s, _SYSTEM_KEYS, "a systems entry"))
                    for s in params["systems"]]
     else:
         systems = [_system_from_params(params)]
     # An explicit k must lie within every system's horizon; without one, each
     # system is evaluated at its own horizon (the filter).
-    shortest = min((system.horizon for system in systems), default=math.inf)
+    shortest = min(system.horizon for system in systems)
     k = _number(params["k"], "k", integer=True, low=0, high=shortest) if "k" in params else None
     rows = [
         _kalman_row(system, system.horizon if k is None else k, eps, config.n_samples, stream, idx)

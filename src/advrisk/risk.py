@@ -19,13 +19,17 @@ import numpy as np
 from .model import LinearInverseProblem, RngStream, check_fits_in_memory, sample_batch
 from .trs import SvdFactorization, svd_full, worst_case_batch
 
-# Rows per Monte Carlo block.  Each block-sized work array holds 4 096 x width
-# doubles (0.5 MB at width 16), so a block's working set stays near the L2
-# cache and a pass's memory does not grow with n_samples.  A block holds at
-# most six such arrays at once, in the inner solve's root find: the residuals,
-# their singular-basis components, the weights twice while converged rows are
-# compacted out, and one sweep's two buffers.
-_GEN_CHUNK = 4_096
+# Rows per Monte Carlo block.  Each block-sized work array holds 2 048 x width
+# doubles (0.25 MB at width 16), and a pass's memory does not grow with
+# n_samples.  A block holds at most six such arrays at once, in the inner
+# solve's root find: the residuals, their singular-basis components, the
+# weights twice while converged rows are compacted out, and one sweep's two
+# buffers; at width 16 that is about 1.5 MB, inside a 2 MB per-core L2.  At
+# 4 096 rows glibc handed the arrays freed at each block's end back to the
+# system and the next block faulted them in again (up to about 215 k minor
+# faults per warmed pass of the benchmark's mc-risk workload, 0 at 2 048); at
+# 1 024 rows the inner solve's fixed cost per call dominates.
+_GEN_CHUNK = 2_048
 # Samples per partial sum of a Monte Carlo mean.  Fixed shards, added in index
 # order, pin the reduction tree, so a mean does not depend on the chunking.
 _SUM_SHARD = 1_024

@@ -6,6 +6,7 @@ slacks from the reported standard errors; analytic values are pinned at the
 stated tolerances.
 """
 
+import dataclasses
 import math
 import time
 
@@ -313,10 +314,8 @@ def test_criterion_11_experiment_determinism(tmp_path):
     for idx, cfg in enumerate(configs):
         out1 = tmp_path / f"r{idx}_1.csv"
         out2 = tmp_path / f"r{idx}_2.csv"
-        cfg.output_path = str(out1)
-        run_experiment(cfg)
-        cfg.output_path = str(out2)
-        run_experiment(cfg)
+        run_experiment(dataclasses.replace(cfg, output_path=str(out1)))
+        run_experiment(dataclasses.replace(cfg, output_path=str(out2)))
         assert out1.read_bytes() == out2.read_bytes()
     # shard-invariant sampling underlies run-to-run determinism
     prob = make_problem(np.eye(2), np.eye(2), 0.1 * np.eye(2), 0.5)

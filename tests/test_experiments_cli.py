@@ -51,6 +51,14 @@ class TestExperimentConfig:
         again = ExperimentConfig.from_dict(json.loads(json.dumps(dataclasses.asdict(cfg))))
         assert again == cfg
 
+    def test_checks_cannot_be_skipped_by_assignment(self):
+        # every check runs at construction; a later assignment would skip them
+        cfg = ExperimentConfig(kind="risk", params={"a_star": [[1.0]]})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.n_samples = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.lambda_grid = [0.0, 1.0]
+
     def test_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             ExperimentConfig(kind="nope")
@@ -451,12 +459,20 @@ class TestCli:
         ("kalman", {"alphas": [0.95], "c": [[1.0]]}),
         ("kalman", {"systems": [_SYSTEM], "a": [[1.0]], "c": [[1.0]]}),
         ("fig-kf-vs-adv", {"rhos": [0.5], "n_rhos": 4}),
+        ("kalman", {"alphas": []}),
+        ("kalman", {"systems": []}),
+        ("fig-condition", {"kappas": []}),
+        ("fig-observability", {"alphas": []}),
+        ("fig-observability", {"ks": []}),
+        ("fig-kf-vs-adv", {"rhos": []}),
     ], ids=["k-fraction", "k-string", "horizon-negative", "epsilon-negative", "epsilon-nan",
             "alpha-string", "systems-number", "system-horizon-fraction",
             "k-past-system-horizon", "kappa-below-one",
             "kappas-scalar", "n-fraction", "ks-past-horizon", "alpha-inf", "k-past-horizon",
             "n-rhos-zero", "rho-nan", "alphas-with-systems", "alphas-with-top-level-system",
-            "alphas-with-top-level-c", "systems-with-top-level-system", "rhos-with-n-rhos"])
+            "alphas-with-top-level-c", "systems-with-top-level-system", "rhos-with-n-rhos",
+            "alphas-empty", "systems-empty", "kappas-empty", "observability-alphas-empty",
+            "ks-empty", "rhos-empty"])
     def test_bad_figure_and_kalman_params_are_config_errors(self, tmp_path, capsys, command,
                                                             params):
         path = tmp_path / "cfg.json"

@@ -200,10 +200,11 @@ _COLUMNS = ("sq", "gain", "value", "cross")
 
 @pytest.mark.parametrize("case", [_plain_case, _plain16_case, _rollout_case],
                          ids=["plain", "plain16", "rollout"])
-# _GEN_CHUNK + 1: the head pass ends in a 1-row block; 32_768: a block boundary
-# past the first block; 39_999: a 1-row tail
-@pytest.mark.parametrize("split", [1, 2, 7, 12_345, _GEN_CHUNK, _GEN_CHUNK + 1, 32_768,
-                                   39_999])
+# _GEN_CHUNK + 1 and 2 * _GEN_CHUNK + 1: the head pass ends in a 1-row block
+# after one and after two full blocks; 2 * _GEN_CHUNK and 32_768: block
+# boundaries past the first block; 39_999: a 1-row tail
+@pytest.mark.parametrize("split", [1, 2, 7, 12_345, _GEN_CHUNK, _GEN_CHUNK + 1, 2 * _GEN_CHUNK,
+                                   2 * _GEN_CHUNK + 1, 32_768, 39_999])
 def test_engine_split_invariance(case, split):
     # one pass over more than a chunk equals, bit for bit, two passes split
     # at an arbitrary base_index; value is sq + gain exactly
@@ -233,13 +234,13 @@ def _traced_peak_mb(columns):
 def test_engine_memory_is_bounded_by_the_block():
     # Block-sized temporaries scale with _GEN_CHUNK * width, not n_samples:
     # one n = 16, 100 000-sample pass holds its four 0.8 MB output columns
-    # and one block's work arrays (0.5 MB each), which die with the block.
+    # and one block's work arrays (0.25 MB each), which die with the block.
     peak = _traced_peak_mb(_COLUMNS)
-    assert peak < 7.0, f"{peak:.2f} MB"
+    assert peak < 5.5, f"{peak:.2f} MB"
 
 
 def test_engine_value_pass_memory_is_bounded_by_the_block():
     # the pass that every adversarial risk makes: one output column, and at
-    # its peak the inner solve's arrays for one block
+    # its peak the inner solve's six arrays for one block (0.25 MB each)
     peak = _traced_peak_mb(("value",))
-    assert peak < 4.5, f"{peak:.2f} MB"
+    assert peak < 3.0, f"{peak:.2f} MB"
