@@ -66,6 +66,8 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                 data = json.load(fh)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"malformed config file {args.config}: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"config file {args.config} is nested too deeply") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object")
     kind = "kalman-bounds" if args.command == "kalman" else args.command

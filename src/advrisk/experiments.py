@@ -80,6 +80,8 @@ class ExperimentConfig:
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         if not isinstance(self.svg, bool):
             raise ConfigError(f"svg must be true or false, got {self.svg!r}")
+        if self.svg and not self.output_path:
+            raise ConfigError("svg needs an output_path: the chart is written next to the CSV")
         if self.lambda_grid is not None and self.kind not in _SWEEPING_KINDS:
             raise ConfigError(f"{self.kind} sweeps no lambda, so it takes no lambda_grid; "
                               f"only {', '.join(_SWEEPING_KINDS)} do")

@@ -7,6 +7,11 @@ of a batch -- in any sharding -- is bit-identical.  A stream holds only its
 ``(seed, stream_id)`` and seeds a fresh generator for each draw, so it is a
 pure value that any number of threads may share.
 
+Importing this module (and so ``advrisk``) needs only numpy.  A process's
+first draw imports ``numpy.random`` and ``scipy.special``: imported with the
+module they were most of every command's start-up, though ``perturb`` and a
+config error never sample.
+
 Model arrays are read-only copies of the caller's inputs.  Constants derived
 from them, such as Cholesky factors, are computed by each draw that uses
 them: a draw fills a whole block of rows, so they cost little.
@@ -18,8 +23,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
-from scipy.special import ndtri
 
 SYMMETRY_TOL = 1e-10
 PSD_TOL = 1e-10
@@ -207,6 +210,9 @@ class RngStream:
         blocks = -(-width // _WORDS_PER_BLOCK)
         check_fits_in_memory(8 * count * blocks * _WORDS_PER_BLOCK,
                              f"a block of {count} x {width} normals")
+        from numpy.random import Generator, Philox, SeedSequence
+        from scipy.special import ndtri
+
         bg = Philox(seed=SeedSequence(entropy=self.seed, spawn_key=(self.stream_id,)))
         if base_index:
             bg.advance(base_index * blocks)

@@ -67,6 +67,11 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig(kind="risk", seed=-1)
 
+    @pytest.mark.parametrize("output_path", [None, ""])
+    def test_svg_without_output_path_is_config_error(self, output_path):
+        with pytest.raises(ConfigError, match="svg needs an output_path"):
+            ExperimentConfig(kind="perturb", svg=True, output_path=output_path)
+
     def test_unknown_field(self):
         with pytest.raises(ConfigError, match="unknown config fields"):
             ExperimentConfig.from_dict({"kind": "risk", "bogus": 1})
@@ -268,6 +273,33 @@ class TestCli:
         path.write_text("{not json")
         assert main(["risk", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("config", [
+        "[" * 200_000 + "]" * 200_000,
+        '{"params": {"a_star": ' + "[" * 5_000 + "]" * 5_000 + "}}",
+    ], ids=["whole-file", "a_star"])
+    def test_deeply_nested_config_is_config_error(self, tmp_path, capsys, config):
+        path = tmp_path / "deep.json"
+        path.write_text(config)
+        assert main(["risk", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "nested too deeply" in err and "Traceback" not in err
+
+    def test_deeply_nested_config_exits_2_from_the_module(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        proc = subprocess.run([sys.executable, "-m", "advrisk", "risk", "--config", str(path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_svg_flag_without_out_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"params": {"a": [[2.0]], "b": [3.0], "epsilon": 0.5}}))
+        assert main(["perturb", "--config", str(path), "--svg"]) == 2
+        captured = capsys.readouterr()
+        assert "svg needs an output_path" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_kind_conflict(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"kind": "risk", "params": {"a_star": [[1.0]]}}))
@@ -345,6 +377,8 @@ class TestCli:
         pytest.param("output_path", ["x"], id="output_path-list"), ("svg", "no"),
         # risk sweeps no lambda, so a well-formed grid is still an error
         pytest.param("lambda_grid", [0.0, 1.0], id="lambda_grid-stray"),
+        # the chart goes next to the CSV, so it needs an output_path
+        pytest.param("svg", True, id="svg-without-output_path"),
     ])
     def test_non_integer_field_is_config_error(self, tmp_path, field, value):
         path = tmp_path / "cfg.json"

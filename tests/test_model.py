@@ -1,5 +1,10 @@
 import dataclasses
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -189,6 +194,45 @@ class TestFreshSeeding:
         for got in results:
             assert len(got) == len(want)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+# Runs in a fresh interpreter: every path that never samples leaves scipy and
+# numpy.random unloaded, and the first draw loads them.
+_IMPORT_PROBE = """
+import json, sys
+import numpy as np
+import advrisk, advrisk.cli, advrisk.plotting
+
+perturb, risk = sys.argv[1:3]
+advrisk.worst_case_batch(np.eye(2), np.ones((1, 2)), 0.5)
+codes = [advrisk.cli.main(["perturb", "--config", perturb]),
+         advrisk.cli.main(["risk", "--config", risk])]
+
+def loaded():
+    return sorted(m for m in ("scipy", "numpy.random") if m in sys.modules)
+
+before = loaded()
+draw = advrisk.RngStream(3, 7).normal_block(5, 4, 6)
+print(json.dumps({"codes": codes, "before": before, "after": loaded(),
+                  "draw": draw.tolist()}))
+"""
+
+
+def test_only_sampling_loads_scipy_and_numpy_random(tmp_path):
+    perturb, risk = tmp_path / "perturb.json", tmp_path / "risk.json"
+    perturb.write_text(json.dumps({"params": {"a": [[2.0]], "b": [3.0], "epsilon": 0.5}}))
+    risk.write_text(json.dumps({"params": {"a_star": [[1.0]]}, "n_samples": 0}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(perturb), str(risk)],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 2]
+    assert report["before"] == []
+    assert report["after"] == ["numpy.random", "scipy"]
+    # a float's JSON text round-trips it exactly
+    assert np.array_equal(np.array(report["draw"]), _reference_normals(3, 7, 5, 4, 6))
 
 
 class TestReadOnlyArrays:
