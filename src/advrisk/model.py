@@ -7,10 +7,9 @@ of a batch -- in any sharding -- is bit-identical.  A stream holds only its
 ``(seed, stream_id)`` and seeds a fresh generator for each draw, so it is a
 pure value that any number of threads may share.
 
-Importing this module (and so ``advrisk``) needs only numpy.  A process's
-first draw imports ``numpy.random`` and ``scipy.special``: imported with the
-module they were most of every command's start-up, though ``perturb`` and a
-config error never sample.
+``numpy.random`` and ``scipy.special`` are imported by ``normal_block``, not
+at module level, so a process that never samples (``perturb``, a config
+error) does not load them.
 
 Model arrays are read-only copies of the caller's inputs.  Constants derived
 from them, such as Cholesky factors, are computed by each draw that uses
