@@ -17,14 +17,15 @@ from functools import partial
 import numpy as np
 
 from .model import LinearInverseProblem, RngStream, check_fits_in_memory, sample_batch
-from .trs import SvdFactorization, svd_full, worst_case_batch
+from .trs import SvdFactorization, _row_sums, svd_full, worst_case_batch
 
 # Rows per Monte Carlo block.  Each block-sized work array holds 2 048 x width
 # doubles (0.25 MB at width 16), and a pass's memory does not grow with
-# n_samples.  A block holds at most six such arrays at once, in the inner
+# n_samples.  A block holds at most five such arrays at once, in the inner
 # solve's root find: the residuals, their singular-basis components, the
-# weights twice while converged rows are compacted out, and one sweep's two
-# buffers; at width 16 that is about 1.5 MB, inside a 2 MB per-core L2.  At
+# weights (once: converged rows are compacted out within their buffer) and
+# one sweep's two buffers, plus under half of one for a row sum's partial
+# sums; at width 16 that is about 1.4 MB, inside a 2 MB per-core L2.  At
 # 4 096 rows glibc handed the arrays freed at each block's end back to the
 # system and the next block faulted them in again (up to about 215 k minor
 # faults per warmed pass of the benchmark's mc-risk workload, 0 at 2 048); at
@@ -66,20 +67,27 @@ class GapBounds:
 
 
 def mc_estimate(values: np.ndarray) -> RiskEstimate:
-    """Wrap per-sample values: sharded mean plus standard error."""
+    """Wrap per-sample values: sharded mean plus standard error.
+
+    Overflow is not an error here or in the other risk sums: an infinite
+    value is reported as inf, and a NaN one reaches run_experiment's NaN
+    check (CLI exit 3).
+    """
     n = values.size
     total = 0.0
-    for start in range(0, n, _SUM_SHARD):
-        total += float(values[start : start + _SUM_SHARD].sum())
-    stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _SUM_SHARD):
+            total += float(values[start : start + _SUM_SHARD].sum())
+        stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     return RiskEstimate(mean=total / n, std_error=stderr)
 
 
 def _extreme_eigs(fact: SvdFactorization) -> tuple[float, float]:
     """(min, max) eigenvalues of ``A'A`` from the SVD; zero when wide."""
     s = fact.singular_values
-    lam_max = float(s[0] ** 2)
-    lam_min = float(s[-1] ** 2) if fact.p >= fact.n else 0.0
+    with np.errstate(over="ignore"):
+        lam_max = float(s[0] ** 2)
+        lam_min = float(s[-1] ** 2) if fact.p >= fact.n else 0.0
     return lam_min, lam_max
 
 
@@ -88,8 +96,10 @@ def standard_risk_closed(a, problem: LinearInverseProblem) -> float:
     a = np.asarray(a, dtype=float)
     if a.shape != problem.a_star.shape:
         raise ValueError(f"model shape {a.shape} != problem shape {problem.a_star.shape}")
-    diff = a - problem.a_star
-    return float(np.trace(problem.sigma_w.matrix) + np.sum((diff @ problem.sigma_x.matrix) * diff))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = a - problem.a_star
+        return float(np.trace(problem.sigma_w.matrix)
+                     + np.sum((diff @ problem.sigma_x.matrix) * diff))
 
 
 def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):
@@ -117,15 +127,23 @@ def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):
         # path, which rounds unlike the same row in a larger call: draw and
         # solve 2 rows, keep cnt.
         inputs, targets = draw(max(cnt, 2), stream, base_index + start)
-        b = inputs @ a.T
-        np.subtract(targets, b, out=b)
-        del inputs, targets
-        cols = {"sq": (b * b).sum(axis=1)}
-        if "gain" in out or "value" in out:
-            cols["gain"] = worst_case_batch(fact, b, eps)[1]
-            cols["value"] = cols["sq"] + cols["gain"]
-        if "cross" in out:
-            cols["cross"] = np.linalg.norm(b @ a, axis=1)
+        # _row_sums has np.add.reduce's bits, so ||b||^2 and ||A'b|| are
+        # those of (b * b).sum(axis=1) and np.linalg.norm(b @ a, axis=1).
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = inputs @ a.T
+            np.subtract(targets, b, out=b)
+            del inputs, targets
+            cols = {}
+            if "sq" in out or "value" in out:
+                cols["sq"] = _row_sums(b * b)
+            if "gain" in out or "value" in out:
+                cols["gain"] = worst_case_batch(fact, b, eps)[1]
+            if "value" in out:
+                cols["value"] = cols["sq"] + cols["gain"]
+            if "cross" in out:
+                c = b @ a
+                c *= c
+                cols["cross"] = np.sqrt(_row_sums(c))
         for key, col in out.items():
             col[start : start + cnt] = cols[key][:cnt]
 
@@ -225,7 +243,8 @@ def astar_gap_bounds(problem: LinearInverseProblem) -> GapBounds:
     lam_min, lam_max = _extreme_eigs(fact)
     nuclear = float(s.sum())
     cross_lower = sigma_w * np.sqrt(2.0 / (np.pi * problem.p)) * nuclear
-    cross_upper = sigma_w * float(np.sqrt((s * s).sum()))
+    with np.errstate(over="ignore"):
+        cross_upper = sigma_w * float(np.sqrt((s * s).sum()))
     return GapBounds(
         lower=2.0 * eps * cross_lower + eps * eps * lam_min,
         upper=2.0 * eps * cross_upper + eps * eps * lam_max,

@@ -12,7 +12,11 @@ case it sticks at the largest squared singular value and a top singular
 direction takes up the budget that is left (Moré & Sorensen, 1983).
 
 The solver is vectorized over right-hand sides ``b`` so one factorization
-of ``A`` serves an entire Monte Carlo batch.
+of ``A`` serves an entire Monte Carlo batch.  The root find holds its
+weights as an (r, m) array, one column per right-hand side, and sums each
+right-hand side's terms with vector adds over whole rows of it
+(``_row_sums``), in the pairwise order of numpy's own row sum, so the
+results have the bits numpy's per-row loop would give.
 """
 
 from __future__ import annotations
@@ -34,7 +38,12 @@ CLUSTER_RTOL = 1e-9
 HARD_MARGIN = 1e-9
 ROOT_RTOL = 1e-12
 MAX_ROOT_ITER = 200
-_SPACING = np.finfo(float).eps
+# From this many rows on, vector adds over 8 or more terms beat numpy's loop
+# per row (``_row_sums``).
+_VECTOR_SUM_ROWS = 256
+# The root find's scalar operands, as 0-d arrays (``_secular_mu``).
+_ZERO, _ONE, _HALF, _TINY, _SPACING = (
+    np.array(v) for v in (0.0, 1.0, 0.5, 1e-300, np.finfo(float).eps))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +85,7 @@ def svd_full(a) -> SvdFactorization:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    if np.count_nonzero(np.isfinite(a)) < a.size:
         raise ValueError("matrix has non-finite entries")
     u, s, vt = np.linalg.svd(a, full_matrices=True)
     return SvdFactorization(u=u, singular_values=s, v=vt.T)
@@ -88,6 +97,57 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", x, y)
 
 
+def _row_sums(x: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(x, axis=1)`` as numpy sums a C-ordered ``x``, from
+    vector adds over whole columns instead of numpy's loop per row.
+
+    numpy 2 sums a contiguous row pairwise (Higham, 1993): fewer than 8 terms
+    left to right; up to 128 in 8 interleaved partial sums joined as
+    ``((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))``, then the rest in
+    turn.  Longer rows, rows that are contiguous already, and batches of
+    fewer than ``_VECTOR_SUM_ROWS`` rows with 8 or more terms are left to
+    numpy's own loop (over a C-ordered copy), which costs less there.  The one
+    difference: numpy starts from +0.0, so a row of -0.0 terms only sums to
+    +0.0 there and to -0.0 here (the solver sums squares, never -0.0).
+    """
+    t = x.T  # t[j] holds term j of every row
+    n = len(t)
+    if n < 8:
+        if n < 2:
+            return np.add.reduce(x, axis=1)
+        s = t[0] + t[1]
+        for j in range(2, n):
+            s += t[j]
+        return s
+    if n > 128 or x.flags.c_contiguous or len(x) < _VECTOR_SUM_ROWS:
+        return np.add.reduce(np.ascontiguousarray(x), axis=1)
+    return _pairwise(t)
+
+
+def _pairwise(t: np.ndarray) -> np.ndarray:
+    """Sum over the 8 to 128 rows ``t[j]`` in numpy's pairwise order
+    (``_row_sums``), two terms to an add."""
+    n = len(t)
+    stop = n - n % 8
+
+    def pair(j):
+        # r_j + r_(j+1), with numpy's partial sums r_i = t[i] + t[i + 8] + ...
+        # in turn; two at a time, so that the temporaries stay small
+        r = t[j : j + 2] if stop == 8 else t[j : j + 2] + t[j + 8 : j + 10]
+        for i in range(j + 16, stop, 8):
+            r += t[i : i + 2]
+        return r[0] + r[1]
+
+    s = pair(0)
+    s += pair(2)
+    s_high = pair(4)
+    s_high += pair(6)
+    s += s_high
+    for j in range(stop, n):
+        s += t[j]
+    return s
+
+
 def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
                 wsum: np.ndarray) -> np.ndarray:
     """Vectorized root find for f(mu) = sum_i w_i / (mu + gaps_i)^2 = eps^2.
@@ -96,6 +156,11 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
     the top squared singular value; ``gaps_i = sigma_1^2 - sigma_i^2 >= 0``.
     Working in ``mu`` keeps every denominator an exact sum of nonnegative
     quantities, so near-hard instances lose no precision to cancellation.
+    ``w`` holds the weights as an (r, m) array, one column per row of the
+    batch, so that each sweep's two row sums are contiguous vector adds in
+    numpy's own order (``_row_sums``).  The root find leaves ``w`` as it is:
+    each sweep gathers the weights of the rows still active into its own
+    buffer, so the weights are held once however many rows have stopped.
     ``w_top`` and ``wsum`` are each row's weight on the zero gaps and its
     total weight, which the caller has summed already; they bracket the root.
 
@@ -113,51 +178,69 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
     lo = np.sqrt(w_top) / eps  # f(lo) >= tgt: top terms alone contribute eps^2
     hi = np.sqrt(wsum) / eps  # f(hi) <= tgt: all terms at the top gap
     # A row stops for good in the sweep that meets its tolerance, with that
-    # sweep's mu, so later sweeps run over the rows still active only.  Row
-    # sums of C-ordered rows round the same whatever rows surround them, so
+    # sweep's mu, so later sweeps run over the rows still active only.  A row
+    # sum adds the same terms in the same order whatever rows surround it, so
     # every root keeps its bits.
     m = lo.size
     out = np.empty(m)
     rows = np.arange(m)
     mu = lo.copy()
+    gap_col = gaps[:, None]
+    # Scalar operands are 0-d arrays, which a ufunc takes at about half the
+    # cost of a Python float; at 32 rows that is most of a call.
+    eps_, tgt_, tol_ = np.array(eps), np.array(tgt), np.array(ROOT_RTOL * tgt)
     # mu >= 0 and gaps >= 0, so a denominator is zero only where mu = 0 meets a
     # top gap, i.e. in a row whose top weights are all zero; the mask zeroes q
     # there (1/0 = inf) as on every other zero weight.  With no zero weight
     # there is nothing to mask.
-    w_zero = ~(w > 0.0)
-    if not w_zero.any():
-        w_zero = None
-    tol = ROOT_RTOL * tgt
+    w_zero = None if np.count_nonzero(w) == w.size else np.logical_not(np.greater(w, _ZERO))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for _ in range(MAX_ROOT_ITER):
-            q = np.add.outer(mu, gaps)
-            np.divide(1.0, q, out=q)
+            q = np.add(gap_col, mu)
+            np.divide(_ONE, q, out=q)
             if w_zero is not None:
-                np.copyto(q, 0.0, where=w_zero)
-            wqq = w * q
+                np.copyto(q, _ZERO, where=w_zero)
+            if rows.size < m:  # the weights of the rows still active
+                wqq = w.take(rows, axis=1)
+                wqq *= q
+            else:
+                wqq = np.multiply(w, q)
             wqq *= q
-            f = np.add.reduce(wqq, axis=1)
-            g = f - tgt
-            np.maximum(lo, mu, out=lo, where=g > 0.0)
-            np.minimum(hi, mu, out=hi, where=g < 0.0)
-            active = (np.abs(g) > tol) & ((hi - lo) > _SPACING * np.maximum(hi, 1e-300))
+            f = _row_sums(wqq.T)
+            g = np.subtract(f, tgt_)
+            np.maximum(lo, mu, out=lo, where=np.greater(g, _ZERO))
+            np.minimum(hi, mu, out=hi, where=np.less(g, _ZERO))
+            floor = np.maximum(hi, _TINY)
+            floor *= _SPACING
+            active = np.greater(np.abs(g), tol_)
+            active &= np.greater(np.subtract(hi, lo), floor)
             keep = active.nonzero()[0]
             if keep.size < rows.size:
                 out[rows] = mu  # final for the rows stopping now; the rest are rewritten
             if not keep.size:  # also ends an empty batch
                 return out
             wqq *= q  # w q^3: phi'(mu) = f^(-3/2) sum w q^3
-            newton = mu - f * (1.0 - np.sqrt(f) / eps) / np.add.reduce(wqq, axis=1)
+            step = np.sqrt(f)  # the Newton step f (1 - sqrt(f) / eps) / sum w q^3
+            np.divide(step, eps_, out=step)
+            np.subtract(_ONE, step, out=step)
+            step *= f
+            step /= _row_sums(wqq.T)
+            newton = np.subtract(mu, step, out=step)
             del q, wqq  # freed before the next sweep allocates its own
             if keep.size < rows.size:
-                rows, mu, lo, hi, newton = (v[keep] for v in (rows, mu, lo, hi, newton))
-                w = w[keep]
+                rows, lo, hi, newton = (v[keep] for v in (rows, lo, hi, newton))
                 if w_zero is not None:
-                    w_zero = w_zero[keep]
+                    w_zero = w_zero.take(keep, axis=1)
             # lo and hi are never NaN, so a NaN or infinite Newton point fails
             # one of the two comparisons and the row bisects
-            inside = (newton > lo) & (newton < hi)
-            mu = np.where(inside, newton, 0.5 * (lo + hi))
+            inside = np.greater(newton, lo)
+            inside &= np.less(newton, hi)
+            if np.count_nonzero(inside) == inside.size:
+                mu = newton
+            else:
+                mid = np.add(lo, hi)
+                mid *= _HALF
+                mu = np.where(inside, newton, mid)
     raise np.linalg.LinAlgError(
         f"secular root did not converge in {MAX_ROOT_ITER} sweeps "
         f"for {rows.size} of {m} rows")
@@ -203,7 +286,7 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
     b_batch = np.asarray(b_batch, dtype=float)
     if b_batch.ndim != 2 or b_batch.shape[1] != fact.p:
         raise ValueError(f"b must have shape (m, {fact.p}), got {b_batch.shape}")
-    if not np.isfinite(b_batch).all():
+    if np.count_nonzero(np.isfinite(b_batch)) < b_batch.size:
         raise ValueError("b has non-finite entries")
     if eps < 0.0 or not math.isfinite(eps):
         raise ValueError(f"eps must be finite and >= 0, got {eps}")
@@ -223,32 +306,36 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
         w = (bu * s) ** 2
         top = s >= s1 - CLUSTER_RTOL * max(s1, 1.0)
         gaps = np.where(top, 0.0, (s1 - s) * (s1 + s))
-        wsum = np.add.reduce(w, axis=1)
-        if not np.isfinite(wsum).all():
-            raise FloatingPointError("inner-adversary weights overflow: residual too large")
-        # The top cluster is a prefix holding sigma_1; alone in it, sigma_1's
-        # weight is the first column, as the row sum gives it bit for bit.
-        w_top = _row_dot(w, np.where(top, 1.0, 0.0)) if r > 1 and top[1] else w[:, 0]
+        # The einsums round by the (m, r) layout; the row sums, here and in the
+        # root find, are taken over an (r, m) copy, which replaces it.  The top
+        # cluster is a prefix holding sigma_1; alone in it, sigma_1's weight is
+        # the first term, as the row sum gives it.
+        w_top = _row_dot(w, np.where(top, 1.0, 0.0)) if r > 1 and top[1] else w[:, 0].copy()
         s_low = _row_dot(w, np.where(top, 0.0, 1.0 / np.where(gaps > 0.0, gaps, 1.0) ** 2))
+        w_rows = np.ascontiguousarray(w.T)
+        del w
+        wsum = _row_sums(w_rows.T)
+        if np.count_nonzero(np.isfinite(wsum)) < wsum.size:
+            raise FloatingPointError("inner-adversary weights overflow: residual too large")
 
         # Hard case: dual sticks at s1^2.  Requires the residual budget after the
         # pseudoinverse component, and a numerically-zero top-cluster weight
         # (otherwise stationarity at s1^2 is violated and the easy root exists).
         hard = s_low < eps * eps * (1.0 - HARD_MARGIN)
-        any_hard = hard.any()
+        any_hard = np.count_nonzero(hard) > 0
         if any_hard:
             hard &= np.sqrt(w_top) <= HARD_MARGIN * (s1 * s1 * eps + np.sqrt(wsum))
-            any_hard = hard.any()
+            any_hard = np.count_nonzero(hard) > 0
 
         # mu = lambda - s1^2: the secular root on easy rows, 0 on hard rows.  With
         # every row easy the batch is solved whole, with no gathers.
         if any_hard:
             easy = (~hard).nonzero()[0]
             mu = np.zeros(m)
-            mu[easy] = _secular_mu(w[easy], gaps, eps, w_top[easy], wsum[easy])
+            mu[easy] = _secular_mu(w_rows.take(easy, axis=1), gaps, eps, w_top[easy], wsum[easy])
         else:
-            mu = _secular_mu(w, gaps, eps, w_top, wsum)
-        del w  # block-sized and read no further
+            mu = _secular_mu(w_rows, gaps, eps, w_top, wsum)
+        del w_rows  # block-sized and read no further
         # Stationarity gives delta's components in the right singular basis (first
         # r coordinates; the rest are always zero).  Top components of hard rows
         # have a zero denominator; the first top direction (sigma_1's) takes up the

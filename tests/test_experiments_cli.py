@@ -572,6 +572,28 @@ class TestCli:
         assert shown in proc.stdout + proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    @pytest.mark.parametrize("kind, params, shown", [
+        # standard_risk_closed and the ||b||^2 column overflow, then the solve
+        ("risk", {"a_star": [[1e200, 0.0], [0.0, 1.0]], "a": [[1.0, 0.0], [0.0, 1.0]]},
+         "weights overflow"),
+        # ||b||^2, A'b, the standard error and lambda_max overflow, then the solve
+        ("bounds", {"a_star": [[1.0, 0.0], [0.0, 1.0]], "a": [[1e160, 0.0], [0.0, 1.0]]},
+         "weights overflow"),
+        # infinite gains: their standard error is NaN
+        ("risk", {"a_star": [[1e200, 0.0], [0.0, 1.0]]}, "NaN in ar_stderr"),
+        # lambda_max and the closed-form bound at A* overflow as well
+        ("bounds", {"a_star": [[1e200, 0.0], [0.0, 1.0]]}, "NaN in gap_stderr"),
+    ], ids=["risk-model", "bounds-model", "risk-a-star", "bounds-a-star"])
+    def test_overflow_in_the_monte_carlo_warns_nothing(self, tmp_path, capsys, kind, params,
+                                                         shown):
+        # the suite turns a RuntimeWarning into an error, so a warning fails
+        # main here before its exit code 3
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": dict(params, epsilon=0.5), "n_samples": 64}))
+        assert main([kind, "--config", str(cfg_path), "--out", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and shown in err
+
     def test_module_entry_point(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"params": {"a": [[2.0]], "b": [3.0],

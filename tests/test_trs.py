@@ -229,8 +229,10 @@ def _weights(b):
 
 
 def _secular_mu(w, gaps, eps):
-    """trs._secular_mu with the bracket sums formed as its callers form them."""
-    return trs._secular_mu(w, gaps, eps, trs._row_dot(w, np.where(gaps <= 0.0, 1.0, 0.0)),
+    """trs._secular_mu with the bracket sums formed as its callers form them,
+    on an (r, m) copy of the (m, r) weights ``w``."""
+    return trs._secular_mu(np.ascontiguousarray(w.T), gaps, eps,
+                           trs._row_dot(w, np.where(gaps <= 0.0, 1.0, 0.0)),
                            w.sum(axis=1))
 
 
@@ -360,6 +362,88 @@ class TestActiveRowCompaction:
             assert np.array_equal(lams, whole[2][idx])
             assert np.array_equal(branches, whole[3][idx])
             assert np.array_equal(gains, whole[1][idx])
+
+
+def _narrow_rows(rng, width, n_hard=0):
+    """20 rows of b at a width below 8, where the root find's sums are plain
+    adds, shuffled: 4 along the top singular vector of
+    diag(geomspace(1, 0.01, width)), 8 - n_hard with a small or no top
+    component (easy even at _EPS_SLOW), n_hard hard ones at eps 0.5
+    (orthogonal to it with budget to spare) and 8 generic ones."""
+    top = np.zeros((4, width))
+    top[:, 0] = rng.uniform(0.5, 2.0, 4)
+    slow = rng.choice([-1.0, 1.0], (8 - n_hard, width)) * rng.uniform(2.0, 4.0, (8 - n_hard, width))
+    slow[:, 0] *= np.r_[0.0, 0.0, np.full(6 - n_hard, 1e-2)]
+    hard = np.zeros((n_hard, width))
+    hard[:, 1:] = 0.02 * rng.standard_normal((n_hard, width - 1))
+    return rng.permutation(np.vstack([top, slow, hard, rng.standard_normal((8, width))]))
+
+
+@pytest.mark.parametrize("width", [2, 4])
+class TestNarrowRowCompaction:
+    """As TestActiveRowCompaction, at the widths of the benchmark's Kalman
+    (2) and plain (4) solves."""
+
+    def test_secular_roots_keep_their_bits(self, rng, width):
+        s = np.geomspace(1.0, 0.01, width)
+        gaps = np.concatenate([[0.0], (s[0] - s[1:]) * (s[0] + s[1:])])
+        w = (_narrow_rows(rng, width) * s) ** 2
+        whole = _secular_mu(w, gaps, _EPS_SLOW)
+        assert np.array_equal(whole, _reference_secular_mu(w, gaps, _EPS_SLOW))
+        for lo, hi in zip(_SPLITS, _SPLITS[1:]):
+            assert np.array_equal(_secular_mu(w[lo:hi], gaps, _EPS_SLOW), whole[lo:hi])
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["diagonal", "dense"])
+    def test_batch_rows_keep_their_bits(self, rng, width, dense):
+        q = np.linalg.qr(rng.standard_normal((width, width)))[0] if dense else np.eye(width)
+        a = (q * np.geomspace(1.0, 0.01, width)) @ q.T
+        b = _narrow_rows(rng, width, n_hard=4) @ q.T
+        whole = worst_case_batch(a, b, 0.5)
+        assert set(np.unique(whole[3])) == {BRANCH_EASY, BRANCH_HARD}
+        perm = rng.permutation(len(b))
+        for idx in [perm] + [np.arange(lo, hi) for lo, hi in zip(_SPLITS, _SPLITS[1:])]:
+            for part, full in zip(worst_case_batch(a, b[idx], 0.5), whole):
+                assert np.array_equal(part, full[idx])
+
+
+def _signed_spread(rng, shape):
+    """Values of either sign with magnitudes from 1e-150 to 1e150, so that
+    the order of a sum changes its bits."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-150.0, 150.0, shape)
+
+
+class TestRowSums:
+    """trs._row_sums must return np.add.reduce(x, axis=1) bit for bit: the
+    inner solve's roots, and so every CSV byte, depend on it."""
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 32, 2048])
+    def test_equals_numpy_row_sums(self, rng, rows):
+        for width in list(range(1, 41)) + ([129, 300] if rows == 2048 else []):
+            x = _signed_spread(rng, (rows, width))
+            want = np.add.reduce(x, axis=1).view(np.int64)
+            # the solver's layout: the transpose of a C-ordered (width, rows) array
+            assert np.array_equal(trs._row_sums(np.ascontiguousarray(x.T).T).view(np.int64),
+                                  want), width
+            assert np.array_equal(trs._row_sums(x).view(np.int64), want), width
+            if 8 <= width <= 128 and rows:  # vector adds at any row count
+                assert np.array_equal(trs._pairwise(x.T).view(np.int64), want), width
+
+    def test_hand_written_order(self, rng):
+        # The order the vector adds reproduce, written out: a change in how
+        # numpy sums a row fails here rather than shifting output bytes.
+        x = _signed_spread(rng, (2048, 17))
+        c = list(x.T)
+        seven = c[0] + c[1]
+        for j in range(2, 7):
+            seven = seven + c[j]
+        nine = ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7])) + c[8]
+        r = [c[j] + c[j + 8] for j in range(8)]
+        seventeen = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])) + c[16]
+        for width, want in [(7, seven), (9, nine), (17, seventeen)]:
+            part = x[:, :width]
+            for got in (trs._row_sums(part), trs._row_sums(np.ascontiguousarray(part.T).T),
+                        np.add.reduce(part, axis=1)):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), width
 
 
 @given(
