@@ -231,8 +231,13 @@ def generate_conditioned_matrix(n: int, condition: float, stream: RngStream) -> 
     u = _haar_orthogonal(n, stream, base_index=0)
     v = _haar_orthogonal(n, stream, base_index=n)
     diag = np.geomspace(condition, 1.0, n) if n > 1 else np.ones(1)
-    diag = diag / np.linalg.norm(diag)
-    return (u * diag) @ v.T
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(diag)
+    if not math.isfinite(norm):  # dividing by it would give the zero matrix
+        raise ValueError(f"condition {condition!r} is too large at n = {n}: the norm of the "
+                         f"diagonal overflows (the limit is about {math.sqrt(np.finfo(float).max):.4g}, "
+                         f"lower for large n)")
+    return (u * (diag / norm)) @ v.T
 
 
 def _haar_orthogonal(n: int, stream: RngStream, base_index: int) -> np.ndarray:
@@ -477,7 +482,10 @@ def _run_fig_condition(config: ExperimentConfig) -> ResultTable:
     eps = _epsilon(params)
     rows = []
     for kappa in kappas:
-        a_star = generate_conditioned_matrix(n, kappa, RngStream(config.seed, _MATRIX_STREAM))
+        try:
+            a_star = generate_conditioned_matrix(n, kappa, RngStream(config.seed, _MATRIX_STREAM))
+        except ValueError as exc:
+            raise ConfigError(f"invalid kappas: {exc}") from exc
         problem = LinearInverseProblem.from_matrices(a_star, np.eye(n), 0.1 * np.eye(n), eps)
         rows += _frontier_rows(problem, config, eps, [kappa])
     return ResultTable(header=["kappa", *_FRONTIER_HEADER], rows=rows)

@@ -175,13 +175,20 @@ def observability_gramian(system: LtiSystem, n_steps: int | None = None) -> Gram
     steps = system.horizon if n_steps is None else int(n_steps)
     if steps < 0:
         raise ValueError("n_steps must be >= 0")
-    obs = _observability_matrix(system.c, _powers(system.a, steps))
-    gram = obs.T @ obs
-    gram = 0.5 * (gram + gram.T)
+    # An overflow leaves the norm non-finite, and raises here rather than
+    # reach the bounds (an infinite norm would make kalman_gap_lower_bound 0).
+    with np.errstate(over="ignore", invalid="ignore"):
+        obs = _observability_matrix(system.c, _powers(system.a, steps))
+        gram = obs.T @ obs
+        gram = 0.5 * (gram + gram.T)
+        frobenius = np.linalg.norm(gram, "fro")
+    if not np.isfinite(frobenius):
+        raise FloatingPointError("the observability gramian overflows: the system's scale "
+                                 "is too large")
     return GramianSummary(
         gramian=gram,
         lambda_min=float(np.linalg.eigvalsh(gram)[0]),
-        frobenius=float(np.linalg.norm(gram, "fro")),
+        frobenius=float(frobenius),
     )
 
 
@@ -198,12 +205,19 @@ def _mmse(system: LtiSystem, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """``(L, G_yy, G_xy)``: the minimum-mean-square estimator ``L`` of
     ``x_k`` with the second moments it solves, ``G_yy`` the covariance of the
     stacked measurements and ``G_xy`` its cross term with ``x_k``."""
-    stacked = build_stacked(system, k)
-    sigma0, iw, iv = _stacked_noise(system.sigma0.matrix, system.sigma_w.matrix,
-                                   system.sigma_v.matrix, system.horizon)
-    obs, tau = stacked.obs, stacked.toeplitz
-    g_yy = obs @ sigma0 @ obs.T + tau @ iw @ tau.T + iv
-    g_xy = stacked.a_pow_k @ sigma0 @ obs.T + stacked.gamma_k @ iw @ tau.T
+    # Every power of A up to the horizon enters obs, so an overflow anywhere in
+    # the stacked model leaves G_yy or G_xy non-finite and raises here; later
+    # builds of the same stacked model then overflow nowhere.
+    with np.errstate(over="ignore", invalid="ignore"):
+        stacked = build_stacked(system, k)
+        sigma0, iw, iv = _stacked_noise(system.sigma0.matrix, system.sigma_w.matrix,
+                                       system.sigma_v.matrix, system.horizon)
+        obs, tau = stacked.obs, stacked.toeplitz
+        g_yy = obs @ sigma0 @ obs.T + tau @ iw @ tau.T + iv
+        g_xy = stacked.a_pow_k @ sigma0 @ obs.T + stacked.gamma_k @ iw @ tau.T
+    if not (np.isfinite(g_yy).all() and np.isfinite(g_xy).all()):
+        raise FloatingPointError("the stacked second moments G_yy, G_xy overflow: the "
+                                 "system's scale is too large")
     return np.linalg.solve(g_yy.T, g_xy.T).T, g_yy, g_xy
 
 
@@ -271,10 +285,14 @@ def estimator_sr_closed(l, system: LtiSystem, k: int) -> float:
     """Standard risk ``E ||x_k - L Y||^2`` in closed form.
 
     Sum of three weighted Frobenius norms: initial-state mismatch, process
-    noise mismatch, and measurement noise amplification.
+    noise mismatch, and measurement noise amplification.  As in
+    ``risk.standard_risk_closed``, an overflow is reported as inf, and a NaN
+    reaches run_experiment's NaN check.
     """
-    term0, term_w, term_v = (np.sum((m @ noise) * m) for m, noise in _residual_terms(l, system, k))
-    return float(term0 + term_w + term_v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        term0, term_w, term_v = (np.sum((m @ noise) * m)
+                                 for m, noise in _residual_terms(l, system, k))
+        return float(term0 + term_w + term_v)
 
 
 def residual_covariance(l, system: LtiSystem, k: int) -> CovarianceSpec:
@@ -363,15 +381,18 @@ def gap_lower_bounds(l, system: LtiSystem, k: int, epsilon: float) -> tuple[floa
     General: ``2 sqrt(2/pi) (eps/sqrt(n)) tr((L' Cov(x_k - LY) L)^{1/2})``.
     Frobenius (cruder): replace the trace term by
     ``sqrt(lambda_min(sigma_v)) ||L||_F^2``.
+    Raises ``FloatingPointError`` if either overflows: a lower bound of inf
+    would claim too much.
     """
     l = _check_estimator_shape(l, system)
     cov = residual_covariance(l, system, k).matrix
     inner = l.T @ cov @ l
     eigs = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.T)), 0.0, None)
-    scale = _HALF_NORMAL * 2.0 * epsilon / np.sqrt(system.n)
-    general = scale * float(np.sqrt(eigs).sum())
-    sv_min = float(np.linalg.eigvalsh(system.sigma_v.matrix)[0])
-    frobenius = scale * np.sqrt(sv_min) * float(np.sum(l * l))
+    with np.errstate(over="raise"):
+        scale = _HALF_NORMAL * 2.0 * epsilon / np.sqrt(system.n)
+        general = scale * float(np.sqrt(eigs).sum())
+        sv_min = float(np.linalg.eigvalsh(system.sigma_v.matrix)[0])
+        frobenius = scale * np.sqrt(sv_min) * float(np.sum(l * l))
     return general, frobenius
 
 
@@ -412,6 +433,7 @@ def kalman_gap_lower_bound(system: LtiSystem, k: int, epsilon: float) -> float:
     eigenvalue, so the bound applies to arbitrary dynamics; under isotropic
     covariances with scaled-orthogonal dynamics it reduces to
     ``rho^(2k) sigma_0^2 + sigma_w^2 sum_{j=0}^{k-1} rho^(2j)``.
+    Raises ``FloatingPointError`` if it overflows, as ``gap_lower_bounds``.
     """
     _check_k(system, k)
     gram = observability_gramian(system)
@@ -422,7 +444,13 @@ def kalman_gap_lower_bound(system: LtiSystem, k: int, epsilon: float) -> float:
     denom = (system.horizon + 1) * bar_max * gram.frobenius + sv_norm
     ratio = noise_floor / denom
     c_fro = float(np.sum(system.c * system.c))
-    return _HALF_NORMAL * 2.0 * epsilon / np.sqrt(system.n) * np.sqrt(sv_min) * c_fro * ratio**2
+    try:
+        with np.errstate(over="raise"):
+            return (_HALF_NORMAL * 2.0 * epsilon / np.sqrt(system.n) * np.sqrt(sv_min) * c_fro
+                    * ratio**2)
+    except OverflowError as exc:  # ratio**2 is a Python float's
+        raise FloatingPointError("kalman_gap_lower_bound overflows: the system's scale is "
+                                 "too large") from exc
 
 
 def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[float, str]:
@@ -450,12 +478,13 @@ def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[f
         beta = 1.0 / s_floor
         regime = REGIME_LOW
     nu = float(np.linalg.eigvalsh(_state_noise_matrix(system, k))[-1])
-    value = (
-        epsilon
-        * nu
-        * beta
-        * (2.0 * np.sqrt(system.n) * np.sqrt(bar_max + sv_norm * beta * beta) + epsilon * beta)
-    )
+    with np.errstate(over="ignore"):  # a bound beyond the float range is inf; nu, beta > 0
+        value = (
+            epsilon
+            * nu
+            * beta
+            * (2.0 * np.sqrt(system.n) * np.sqrt(bar_max + sv_norm * beta * beta) + epsilon * beta)
+        )
     return float(value), regime
 
 

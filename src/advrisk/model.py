@@ -102,18 +102,22 @@ def validate_covariance(m, strict: bool = False, name: str = "covariance") -> Co
     Raises
     ------
     ValueError
-        If ``m`` is not square, not finite, asymmetric beyond tolerance,
-        not PSD, or (with ``strict``) not positive definite.
+        If ``m`` is not square, not finite, asymmetric beyond tolerance, so
+        large that ``m + m.T`` overflows, not PSD, or (with ``strict``) not
+        positive definite.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
-    asym = np.abs(m - m.T).max() if m.size else 0.0
+    with np.errstate(over="ignore"):  # an overflow in either is rejected below
+        asym = np.abs(m - m.T).max() if m.size else 0.0
+        sym = 0.5 * (m + m.T)
     if asym > SYMMETRY_TOL:
         raise ValueError(f"{name} is asymmetric (max deviation {asym:.3e})")
-    sym = 0.5 * (m + m.T)
+    if not np.all(np.isfinite(sym)):
+        raise ValueError(f"{name} has entries too large to symmetrize: m + m.T overflows")
     eigs = np.linalg.eigvalsh(sym)
     if eigs[0] < -PSD_TOL:
         raise ValueError(f"{name} is not PSD (min eigenvalue {eigs[0]:.3e})")

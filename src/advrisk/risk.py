@@ -23,8 +23,8 @@ from .trs import SvdFactorization, _row_sums, svd_full, worst_case_batch
 # doubles (0.25 MB at width 16), and a pass's memory does not grow with
 # n_samples.  A block holds at most five such arrays at once, in the inner
 # solve's root find: the residuals, their singular-basis components, the
-# weights (once: converged rows are compacted out within their buffer) and
-# one sweep's two buffers, plus under half of one for a row sum's partial
+# weights (once: each sweep gathers the rows still active into its own
+# buffers) and one sweep's two buffers, plus under half of one for a row sum's partial
 # sums; at width 16 that is about 1.4 MB, inside a 2 MB per-core L2.  At
 # 4 096 rows glibc handed the arrays freed at each block's end back to the
 # system and the next block faulted them in again (up to about 215 k minor

@@ -149,7 +149,7 @@ def _pairwise(t: np.ndarray) -> np.ndarray:
 
 
 def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
-                wsum: np.ndarray) -> np.ndarray:
+                wsum: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Vectorized root find for f(mu) = sum_i w_i / (mu + gaps_i)^2 = eps^2.
 
     ``mu = lambda - sigma_1^2`` is the distance of the dual variable above
@@ -158,13 +158,15 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
     quantities, so near-hard instances lose no precision to cancellation.
     ``w`` holds the weights as an (r, m) array, one column per row of the
     batch, so that each sweep's two row sums are contiguous vector adds in
-    numpy's own order (``_row_sums``).  The root find leaves ``w`` as it is:
-    each sweep gathers the weights of the rows still active into its own
-    buffer, so the weights are held once however many rows have stopped.
-    ``w_top`` and ``wsum`` are each row's weight on the zero gaps and its
-    total weight, which the caller has summed already; they bracket the root.
+    numpy's own order (``_row_sums``).  ``w_top`` and ``wsum``, each row's
+    weight on the zero gaps and its total weight, bracket the root.  The rows
+    ``rows`` are the first active set; every other row's mu is 0.  Each sweep
+    gathers the weights of the rows still active into its own buffer, so ``w``
+    is held once however many rows are left out or have stopped.  Runs inside
+    the caller's ``np.errstate``, which ignores division by zero (masked or
+    bisected below), overflow and invalid values.
 
-    Requires each row to satisfy f(0+) >= eps^2 (easy-case condition).
+    Requires each solved row to satisfy f(0+) >= eps^2 (easy-case condition).
     Safeguarded Newton on the reciprocal norm phi(mu) = 1/sqrt(f(mu)) - 1/eps
     (Moré & Sorensen, 1983): phi is concave and increasing, so Newton from the
     left bracket converges monotonically, and phi is nearly linear (exactly so
@@ -175,15 +177,14 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
     ``MAX_ROOT_ITER`` sweeps.
     """
     tgt = eps * eps
-    lo = np.sqrt(w_top) / eps  # f(lo) >= tgt: top terms alone contribute eps^2
-    hi = np.sqrt(wsum) / eps  # f(hi) <= tgt: all terms at the top gap
+    lo = np.sqrt(w_top[rows]) / eps  # f(lo) >= tgt: top terms alone contribute eps^2
+    hi = np.sqrt(wsum[rows]) / eps  # f(hi) <= tgt: all terms at the top gap
     # A row stops for good in the sweep that meets its tolerance, with that
     # sweep's mu, so later sweeps run over the rows still active only.  A row
     # sum adds the same terms in the same order whatever rows surround it, so
     # every root keeps its bits.
-    m = lo.size
-    out = np.empty(m)
-    rows = np.arange(m)
+    m = w_top.size
+    out = np.zeros(m)
     mu = lo.copy()
     gap_col = gaps[:, None]
     # Scalar operands are 0-d arrays, which a ufunc takes at about half the
@@ -194,53 +195,54 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
     # there (1/0 = inf) as on every other zero weight.  With no zero weight
     # there is nothing to mask.
     w_zero = None if np.count_nonzero(w) == w.size else np.logical_not(np.greater(w, _ZERO))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(MAX_ROOT_ITER):
-            q = np.add(gap_col, mu)
-            np.divide(_ONE, q, out=q)
-            if w_zero is not None:
-                np.copyto(q, _ZERO, where=w_zero)
-            if rows.size < m:  # the weights of the rows still active
-                wqq = w.take(rows, axis=1)
-                wqq *= q
-            else:
-                wqq = np.multiply(w, q)
+    if w_zero is not None and rows.size < m:
+        w_zero = w_zero.take(rows, axis=1)
+    for _ in range(MAX_ROOT_ITER):
+        q = np.add(gap_col, mu)
+        np.divide(_ONE, q, out=q)
+        if w_zero is not None:
+            np.copyto(q, _ZERO, where=w_zero)
+        if rows.size < m:  # the weights of the rows still active
+            wqq = w.take(rows, axis=1)
             wqq *= q
-            f = _row_sums(wqq.T)
-            g = np.subtract(f, tgt_)
-            np.maximum(lo, mu, out=lo, where=np.greater(g, _ZERO))
-            np.minimum(hi, mu, out=hi, where=np.less(g, _ZERO))
-            floor = np.maximum(hi, _TINY)
-            floor *= _SPACING
-            active = np.greater(np.abs(g), tol_)
-            active &= np.greater(np.subtract(hi, lo), floor)
-            keep = active.nonzero()[0]
-            if keep.size < rows.size:
-                out[rows] = mu  # final for the rows stopping now; the rest are rewritten
-            if not keep.size:  # also ends an empty batch
-                return out
-            wqq *= q  # w q^3: phi'(mu) = f^(-3/2) sum w q^3
-            step = np.sqrt(f)  # the Newton step f (1 - sqrt(f) / eps) / sum w q^3
-            np.divide(step, eps_, out=step)
-            np.subtract(_ONE, step, out=step)
-            step *= f
-            step /= _row_sums(wqq.T)
-            newton = np.subtract(mu, step, out=step)
-            del q, wqq  # freed before the next sweep allocates its own
-            if keep.size < rows.size:
-                rows, lo, hi, newton = (v[keep] for v in (rows, lo, hi, newton))
-                if w_zero is not None:
-                    w_zero = w_zero.take(keep, axis=1)
-            # lo and hi are never NaN, so a NaN or infinite Newton point fails
-            # one of the two comparisons and the row bisects
-            inside = np.greater(newton, lo)
-            inside &= np.less(newton, hi)
-            if np.count_nonzero(inside) == inside.size:
-                mu = newton
-            else:
-                mid = np.add(lo, hi)
-                mid *= _HALF
-                mu = np.where(inside, newton, mid)
+        else:
+            wqq = np.multiply(w, q)
+        wqq *= q
+        f = _row_sums(wqq.T)
+        g = np.subtract(f, tgt_)
+        np.maximum(lo, mu, out=lo, where=np.greater(g, _ZERO))
+        np.minimum(hi, mu, out=hi, where=np.less(g, _ZERO))
+        floor = np.maximum(hi, _TINY)
+        floor *= _SPACING
+        active = np.greater(np.abs(g), tol_)
+        active &= np.greater(np.subtract(hi, lo), floor)
+        keep = active.nonzero()[0]
+        if keep.size < rows.size:
+            out[rows] = mu  # final for the rows stopping now; the rest are rewritten
+        if not keep.size:  # also ends an empty batch
+            return out
+        wqq *= q  # w q^3: phi'(mu) = f^(-3/2) sum w q^3
+        step = np.sqrt(f)  # the Newton step f (1 - sqrt(f) / eps) / sum w q^3
+        np.divide(step, eps_, out=step)
+        np.subtract(_ONE, step, out=step)
+        step *= f
+        step /= _row_sums(wqq.T)
+        newton = np.subtract(mu, step, out=step)
+        del q, wqq  # freed before the next sweep allocates its own
+        if keep.size < rows.size:
+            rows, lo, hi, newton = (v[keep] for v in (rows, lo, hi, newton))
+            if w_zero is not None:
+                w_zero = w_zero.take(keep, axis=1)
+        # lo and hi are never NaN, so a NaN or infinite Newton point fails
+        # one of the two comparisons and the row bisects
+        inside = np.greater(newton, lo)
+        inside &= np.less(newton, hi)
+        if np.count_nonzero(inside) == inside.size:
+            mu = newton
+        else:
+            mid = np.add(lo, hi)
+            mid *= _HALF
+            mu = np.where(inside, newton, mid)
     raise np.linalg.LinAlgError(
         f"secular root did not converge in {MAX_ROOT_ITER} sweeps "
         f"for {rows.size} of {m} rows")
@@ -300,8 +302,9 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
 
     # Overflow and its inf - inf are not errors here: a row whose weights
     # overflow raises below, an infinite gain is reported as inf, and a NaN
-    # one reaches run_experiment's NaN check.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # one reaches run_experiment's NaN check.  The root find's divisions by
+    # zero are masked or bisected.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         bu = _rows_matmul(b_batch, fact.u[:, :r])  # (m, r) components b'u_i
         w = (bu * s) ** 2
         top = s >= s1 - CLUSTER_RTOL * max(s1, 1.0)
@@ -327,14 +330,9 @@ def worst_case_batch(a, b_batch: np.ndarray, eps: float):
             hard &= np.sqrt(w_top) <= HARD_MARGIN * (s1 * s1 * eps + np.sqrt(wsum))
             any_hard = np.count_nonzero(hard) > 0
 
-        # mu = lambda - s1^2: the secular root on easy rows, 0 on hard rows.  With
-        # every row easy the batch is solved whole, with no gathers.
-        if any_hard:
-            easy = (~hard).nonzero()[0]
-            mu = np.zeros(m)
-            mu[easy] = _secular_mu(w_rows.take(easy, axis=1), gaps, eps, w_top[easy], wsum[easy])
-        else:
-            mu = _secular_mu(w_rows, gaps, eps, w_top, wsum)
+        # mu = lambda - s1^2: the secular root on easy rows, the root find's first
+        # active set, and 0 on hard rows; either way the weights are held once.
+        mu = _secular_mu(w_rows, gaps, eps, w_top, wsum, np.logical_not(hard).nonzero()[0])
         del w_rows  # block-sized and read no further
         # Stationarity gives delta's components in the right singular basis (first
         # r coordinates; the rest are always zero).  Top components of hard rows

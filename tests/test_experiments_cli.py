@@ -594,6 +594,44 @@ class TestCli:
         err = capsys.readouterr().err
         assert "numerical failure" in err and shown in err
 
+    @pytest.mark.parametrize("command, params, code, shown", [
+        # the powers of A overflow: the gramian is the first to see it
+        (["kalman"], {"a": [[1e308, 1e308], [1e308, 1e308]], "c": [[1.0, 0.0]]}, 3,
+         "observability gramian overflows"),
+        # A^t stays finite, but the gramian (t rho)^2 and G_yy do not
+        (["experiment", "fig-kf-vs-adv"], {"rhos": [1e200]}, 3,
+         "observability gramian overflows"),
+        # the upper bound is inf; the Monte Carlo risk is NaN
+        (["kalman"], {"alphas": [0.9], "epsilon": 1e308}, 3, "NaN in ar_mean"),
+        # the lower bounds overflow: a bound of inf would claim too much
+        (["kalman"], {"alphas": [0.9], "epsilon": 1.7e308}, 3, "overflow"),
+        (["kalman"], {"a": [[1e100]], "c": [[1e-200]], "sigma0": [[1e-300]], "horizon": 2}, 3,
+         "kalman_gap_lower_bound overflows"),
+        # the closed-form SR is inf; the residuals overflow the solve
+        (["kalman"], {"a": [[1e100]], "c": [[1e-200]], "horizon": 2}, 3, "weights overflow"),
+        (["kalman"], {"a": [[1.0]], "c": [[1.0]], "sigma0": [[1e308]]}, 2,
+         "sigma0 has entries too large to symmetrize"),
+    ], ids=["dynamics", "shear", "epsilon", "epsilon-max", "lower-bound", "standard-risk",
+            "sigma0"])
+    def test_overflow_in_the_kalman_layer_warns_nothing(self, tmp_path, capsys, command, params,
+                                                          code, shown):
+        # as in the Monte Carlo: the suite turns a RuntimeWarning into an error
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": params, "n_samples": 64}))
+        assert main([*command, "--config", str(cfg_path)]) == code
+        assert shown in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kappa", [1.4e154, 1e308])
+    def test_kappa_whose_diagonal_norm_overflows_is_a_config_error(self, tmp_path, capsys,
+                                                                    kappa):
+        # the norm of geomspace(kappa, 1, n) overflows to inf, and dividing by
+        # it would make A* = 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"params": {"kappas": [kappa]}}))
+        assert main(["experiment", "fig-condition", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "1.341e+154" in err
+
     def test_module_entry_point(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"params": {"a": [[2.0]], "b": [3.0],

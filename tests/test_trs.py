@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -228,12 +230,15 @@ def _weights(b):
     return (b * _S) ** 2
 
 
-def _secular_mu(w, gaps, eps):
+def _secular_mu(w, gaps, eps, rows=None):
     """trs._secular_mu with the bracket sums formed as its callers form them,
-    on an (r, m) copy of the (m, r) weights ``w``."""
-    return trs._secular_mu(np.ascontiguousarray(w.T), gaps, eps,
-                           trs._row_dot(w, np.where(gaps <= 0.0, 1.0, 0.0)),
-                           w.sum(axis=1))
+    on an (r, m) copy of the (m, r) weights ``w``, solving ``rows`` (every
+    row by default) under the errstate that worst_case_batch holds."""
+    rows = np.arange(len(w)) if rows is None else rows
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return trs._secular_mu(np.ascontiguousarray(w.T), gaps, eps,
+                               trs._row_dot(w, np.where(gaps <= 0.0, 1.0, 0.0)),
+                               w.sum(axis=1), rows)
 
 
 def _converges(w):
@@ -316,6 +321,16 @@ class TestActiveRowCompaction:
         for lo, hi in zip(_SPLITS, _SPLITS[1:]):
             assert np.array_equal(_secular_mu(w[lo:hi], _GAPS, _EPS_SLOW), whole[lo:hi])
 
+    def test_rows_outside_the_first_active_set_stay_zero(self, rng):
+        # worst_case_batch passes its easy rows as the first active set; the
+        # roots of that subset keep the bits of a call on the gathered rows
+        w = _weights(_mixed_sweep_rows(rng))
+        for rows in (np.array([3, 7, 8, 15, 19]), np.array([0]), np.arange(1, 20, 2),
+                     np.array([], dtype=int)):
+            mu = _secular_mu(w, _GAPS, _EPS_SLOW, rows)
+            assert np.array_equal(mu[rows], _secular_mu(w[rows], _GAPS, _EPS_SLOW))
+            assert not np.delete(mu, rows).any()
+
     @pytest.mark.parametrize("zero_weight", [False, True], ids=["no-zero", "zero"])
     def test_non_finite_newton_points_match_reference(self, rng, zero_weight):
         # A tiny top weight beside a huge low one: at the left bracket the
@@ -362,6 +377,32 @@ class TestActiveRowCompaction:
             assert np.array_equal(lams, whole[2][idx])
             assert np.array_equal(branches, whole[3][idx])
             assert np.array_equal(gains, whole[1][idx])
+
+
+def _traced_peak_kb(b):
+    fact = svd_full(np.diag(_S))
+    tracemalloc.start()
+    try:
+        worst_case_batch(fact, b, 0.5)
+        return tracemalloc.get_traced_memory()[1] / 2**10
+    finally:
+        tracemalloc.stop()
+
+
+def test_hard_rows_hold_the_weights_once(rng):
+    # The root find gathers only the easy rows from the one (r, m) weight
+    # array, so its sweep buffers shrink with the hard rows.  With a fifth of
+    # the rows hard the solve peaks no higher than with every row easy (about
+    # 1.3 MB at 2 048 x 16), though the hard rows' zero weights add an (r, m)
+    # mask; a gathered copy of the easy rows' weights would add more.
+    b = rng.standard_normal((2048, 16))
+    easy_peak = _traced_peak_kb(b)
+    hard = rng.random(2048) < 0.2
+    b[hard, 0] = 0.0
+    b[hard, 1:] *= 0.02
+    assert np.count_nonzero(worst_case_batch(np.diag(_S), b, 0.5)[3] == BRANCH_HARD) > 300
+    hard_peak = _traced_peak_kb(b)
+    assert hard_peak <= easy_peak, f"{hard_peak:.0f} KB > {easy_peak:.0f} KB"
 
 
 def _narrow_rows(rng, width, n_hard=0):
