@@ -4,8 +4,8 @@
 The set is the three quick figures (sizes as in ``reproduce_figures.py
 --quick``) plus ``risk`` (also at a size whose last sampling block is one
 row, and at n = 16 with a 12-wide top singular cluster), ``bounds`` (at
-a = A* and at a != A*), ``pareto`` (also at a size whose last training
-block is one step),
+a = A* and at a != A*, also at a size whose last sampling block is one
+row), ``pareto`` (also at a size whose last training block is one step),
 ``perturb`` on an easy row and on a hard one (branch_code 1),
 ``kalman-bounds`` at horizon 5, at horizon 0 (no process noise in the
 stacked model) and on two ``systems`` entries of horizons 3 and 5 with no
@@ -56,6 +56,9 @@ EXTRA = {
                          params={"a_star": _A_STAR, "epsilon": 0.5}),
     "bounds_a": dict(kind="bounds", n_samples=40_000,
                      params={"a_star": _A_STAR, "a": _A, "epsilon": 0.5}),
+    # the cross and gain columns of one pass end in a 1-row block
+    "bounds_1row_tail": dict(kind="bounds", n_samples=16_385,
+                             params={"a_star": _A_STAR, "a": _A, "epsilon": 0.5}),
     "kalman_bounds": dict(kind="kalman-bounds", n_samples=40_000,
                           params={"alphas": [0.95, 0.99], "k": 3, "horizon": 5,
                                   "epsilon": 0.5}),

@@ -384,10 +384,9 @@ def _run_bounds(config: ExperimentConfig) -> ResultTable:
     problem, a = _problem_and_model(config.params)
     stream = RngStream(config.seed, _MC_STREAM)
     bounds = gap_bounds_mc(a, problem, config.n_samples, stream)
-    gap = ar_sr_gap_mc(a, problem, config.n_samples, stream)
     rows = [[
         bounds.lower, bounds.upper, bounds.lambda_min, bounds.lambda_max,
-        bounds.cross_term, bounds.cross_term_stderr, gap.mean, gap.std_error,
+        bounds.cross_term, bounds.cross_term_stderr, bounds.gap.mean, bounds.gap.std_error,
     ]]
     header = [
         "lower", "upper", "lambda_min", "lambda_max",

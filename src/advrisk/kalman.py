@@ -441,7 +441,10 @@ def kalman_gap_lower_bound(system: LtiSystem, k: int, epsilon: float) -> float:
     sv_min, sv_norm = float(sv_eigs[0]), float(sv_eigs[-1])
     _, bar_max = _sigma_bar_extremes(system)
     noise_floor = float(np.linalg.eigvalsh(_state_noise_matrix(system, k))[0])
+    overflow = "kalman_gap_lower_bound overflows: the system's scale is too large"
     denom = (system.horizon + 1) * bar_max * gram.frobenius + sv_norm
+    if not np.isfinite(denom):  # a Python float overflows to inf silently; the bound would be 0
+        raise FloatingPointError(overflow)
     ratio = noise_floor / denom
     c_fro = float(np.sum(system.c * system.c))
     try:
@@ -449,8 +452,7 @@ def kalman_gap_lower_bound(system: LtiSystem, k: int, epsilon: float) -> float:
             return (_HALF_NORMAL * 2.0 * epsilon / np.sqrt(system.n) * np.sqrt(sv_min) * c_fro
                     * ratio**2)
     except OverflowError as exc:  # ratio**2 is a Python float's
-        raise FloatingPointError("kalman_gap_lower_bound overflows: the system's scale is "
-                                 "too large") from exc
+        raise FloatingPointError(overflow) from exc
 
 
 def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[float, str]:

@@ -52,10 +52,12 @@ class GapBounds:
 
     For the Monte Carlo variant both bounds share ``cross_term`` (an
     estimate of ``E ||A'(y - Ax)||``) and differ only in which extreme
-    eigenvalue of ``A'A`` multiplies ``eps^2``.  For the closed-form
-    variant at the ground truth with isotropic noise, ``cross_term`` is the
-    lower bound's cross coefficient and the upper bound uses its own
-    (Jensen) one.
+    eigenvalue of ``A'A`` multiplies ``eps^2``; ``gap`` is the
+    common-random-number estimate of the gap they bound, from the same
+    samples.  For the closed-form variant at the ground truth with
+    isotropic noise, ``cross_term`` is the lower bound's cross coefficient,
+    the upper bound uses its own (Jensen) one, and ``gap`` is None, because
+    the closed form draws no samples.
     """
 
     lower: float
@@ -64,6 +66,7 @@ class GapBounds:
     lambda_max: float
     cross_term: float
     cross_term_stderr: float
+    gap: RiskEstimate | None
 
 
 def mc_estimate(values: np.ndarray) -> RiskEstimate:
@@ -195,15 +198,19 @@ def gap_bounds_mc(
     stream: RngStream,
     base_index: int = 0,
 ) -> GapBounds:
-    """Sandwich bounds ``2 eps E||A'(y-Ax)|| + eps^2 lambda_{min/max}(A'A)``.
+    """Sandwich bounds ``2 eps E||A'(y-Ax)|| + eps^2 lambda_{min/max}(A'A)``,
+    with the gap they bound.
 
     The cross term is estimated by Monte Carlo; the eigenvalue extremes come
     from the SVD (``lambda_min = 0`` for wide matrices, whose Gram matrix is
-    rank deficient).
+    rank deficient).  The same pass solves the inner adversary per sample,
+    so ``gap`` equals ``ar_sr_gap_mc`` on the same stream and base index,
+    bit for bit, and a residual whose weights overflow raises
+    ``FloatingPointError`` here.
     """
     eps = problem.epsilon
     fact, out = _mc_columns(a, partial(sample_batch, problem), n_samples, stream, base_index, eps,
-                            ("cross",))
+                            ("cross", "gain"))
     est = mc_estimate(out["cross"])
     lam_min, lam_max = _extreme_eigs(fact)
     return GapBounds(
@@ -213,6 +220,7 @@ def gap_bounds_mc(
         lambda_max=lam_max,
         cross_term=est.mean,
         cross_term_stderr=est.std_error,
+        gap=mc_estimate(out["gain"]),
     )
 
 
@@ -252,6 +260,7 @@ def astar_gap_bounds(problem: LinearInverseProblem) -> GapBounds:
         lambda_max=lam_max,
         cross_term=cross_lower,
         cross_term_stderr=0.0,
+        gap=None,
     )
 
 

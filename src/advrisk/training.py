@@ -161,7 +161,8 @@ def train(problem, config: TrainConfig, on_iterate=None) -> np.ndarray:
 
     ``lam = 0`` uses only the exact SR gradient, so the descent is
     deterministic.  Raises ``TrainingDivergedError`` if the iterate norm
-    exceeds ``DIVERGENCE_NORM`` (the step size is too large).
+    exceeds ``DIVERGENCE_NORM`` or is not finite (the step size or the
+    budget is too large); overflow in a step warns of nothing before that.
     ``on_iterate(t, a)``, when given, observes every iterate.
 
     The batches are drawn ``_GEN_CHUNK // batch_size`` steps at a time (at
@@ -178,29 +179,32 @@ def train(problem, config: TrainConfig, on_iterate=None) -> np.ndarray:
     tail_sum = np.zeros_like(a)
     batch = config.batch_size
     steps_per_block = max(1, _GEN_CHUNK // batch)
-    for t in range(1, config.n_iters + 1):
-        if need_ar:
-            j = (t - 1) % steps_per_block
-            if not j:
-                rows = min(steps_per_block, config.n_iters - t + 1) * batch
-                inputs, targets = adapter.draw(max(rows, 2), stream, (t - 1) * batch)
-            xs = inputs[j * batch : (j + 1) * batch]
-            ys = targets[j * batch : (j + 1) * batch]
-            g_ar = _ar_batch_grad(a, xs, ys, config.epsilon)
-            grad = g_ar if config.pure_ar else adapter.sr_grad(a) + config.lam * g_ar
-        else:
-            grad = adapter.sr_grad(a)
-        a = a - (c0 / t**config.step_decay) * grad
-        norm = float(np.linalg.norm(a))
-        if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-            raise TrainingDivergedError(
-                f"iterate norm {norm:.3e} at step {t}; reduce step_c0={c0:.3e} "
-                f"or increase step_decay={config.step_decay}"
-            )
-        if on_iterate is not None:
-            on_iterate(t, a)
-        if t > config.n_iters - tail_len:
-            tail_sum += a
+    # An overflowing step is not an error here: its iterate is inf or NaN,
+    # which the divergence check reports.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, config.n_iters + 1):
+            if need_ar:
+                j = (t - 1) % steps_per_block
+                if not j:
+                    rows = min(steps_per_block, config.n_iters - t + 1) * batch
+                    inputs, targets = adapter.draw(max(rows, 2), stream, (t - 1) * batch)
+                xs = inputs[j * batch : (j + 1) * batch]
+                ys = targets[j * batch : (j + 1) * batch]
+                g_ar = _ar_batch_grad(a, xs, ys, config.epsilon)
+                grad = g_ar if config.pure_ar else adapter.sr_grad(a) + config.lam * g_ar
+            else:
+                grad = adapter.sr_grad(a)
+            a = a - (c0 / t**config.step_decay) * grad
+            norm = float(np.linalg.norm(a))
+            if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
+                raise TrainingDivergedError(
+                    f"iterate norm {norm:.3e} at step {t}; reduce step_c0={c0:.3e} "
+                    f"or increase step_decay={config.step_decay}"
+                )
+            if on_iterate is not None:
+                on_iterate(t, a)
+            if t > config.n_iters - tail_len:
+                tail_sum += a
     return tail_sum / tail_len
 
 

@@ -607,12 +607,16 @@ class TestCli:
         (["kalman"], {"alphas": [0.9], "epsilon": 1.7e308}, 3, "overflow"),
         (["kalman"], {"a": [[1e100]], "c": [[1e-200]], "sigma0": [[1e-300]], "horizon": 2}, 3,
          "kalman_gap_lower_bound overflows"),
+        # the bound's denominator, a sum of Python floats, overflows to inf
+        # without an error: the bound read 0
+        (["kalman"], {"a": [[1.0]], "c": [[1.0]], "sigma_w": [[1e307]]}, 3,
+         "kalman_gap_lower_bound overflows"),
         # the closed-form SR is inf; the residuals overflow the solve
         (["kalman"], {"a": [[1e100]], "c": [[1e-200]], "horizon": 2}, 3, "weights overflow"),
         (["kalman"], {"a": [[1.0]], "c": [[1.0]], "sigma0": [[1e308]]}, 2,
          "sigma0 has entries too large to symmetrize"),
-    ], ids=["dynamics", "shear", "epsilon", "epsilon-max", "lower-bound", "standard-risk",
-            "sigma0"])
+    ], ids=["dynamics", "shear", "epsilon", "epsilon-max", "lower-bound",
+            "lower-bound-denominator", "standard-risk", "sigma0"])
     def test_overflow_in_the_kalman_layer_warns_nothing(self, tmp_path, capsys, command, params,
                                                           code, shown):
         # as in the Monte Carlo: the suite turns a RuntimeWarning into an error
@@ -620,6 +624,20 @@ class TestCli:
         cfg_path.write_text(json.dumps({"params": params, "n_samples": 64}))
         assert main([*command, "--config", str(cfg_path)]) == code
         assert shown in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, config", [
+        (["pareto"], {"params": {"a_star": [[1.0, 0.2], [0.0, 0.8]], "epsilon": 1.7e308},
+                      "lambda_grid": [0, 1]}),
+        (["experiment", "fig-kf-vs-adv"], {"params": {"epsilon": 1.7e308}}),
+    ], ids=["pareto", "fig-kf-vs-adv"])
+    def test_overflow_in_training_warns_nothing(self, tmp_path, capsys, command, config):
+        # the first AR step's gradient overflows; the divergence check, not a
+        # RuntimeWarning (an error in this suite), reports it
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(config, n_samples=64)))
+        assert main([*command, "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "iterate norm nan" in err
 
     @pytest.mark.parametrize("kappa", [1.4e154, 1e308])
     def test_kappa_whose_diagonal_norm_overflows_is_a_config_error(self, tmp_path, capsys,

@@ -4,7 +4,8 @@ from functools import partial
 import numpy as np
 import pytest
 
-from advrisk.experiments import rotation_system
+from advrisk import risk
+from advrisk.experiments import ExperimentConfig, rotation_system, run_experiment
 from advrisk.kalman import kalman_estimator, simulate_rollouts
 from advrisk.model import LinearInverseProblem, RngStream, sample_batch
 from advrisk.risk import (
@@ -130,6 +131,33 @@ class TestGapBounds:
         assert bounds.lambda_min == 0.0
         assert bounds.lambda_max > 0.0
 
+    # 16 385 samples end in a 1-row block, which draws and solves 2 rows
+    @pytest.mark.parametrize("shape, eps, n, base_index", [
+        ((3, 3), 0.5, 16_385, 0), ((3, 3), 0.0, 5_000, 0), ((2, 4), 0.5, 5_000, 17)],
+        ids=["1-row-tail", "zero-budget", "wide"])
+    def test_gap_is_the_gap_pass_bit_for_bit(self, shape, eps, n, base_index):
+        rng = np.random.default_rng(12)
+        prob = make_problem(rng.standard_normal(shape), eps=eps)
+        a = 0.9 * prob.a_star
+        stream = RngStream(12, 4)
+        bounds = gap_bounds_mc(a, prob, n, stream, base_index)
+        gap = ar_sr_gap_mc(a, prob, n, stream, base_index)
+        assert bounds.gap == gap
+        assert (bounds.gap.mean > 0.0) == (eps > 0.0)
+
+    def test_bounds_run_draws_its_samples_once(self, monkeypatch):
+        drawn = []
+
+        def counting(problem, count, stream, base_index=0):
+            drawn.append(count)
+            return sample_batch(problem, count, stream, base_index)
+
+        monkeypatch.setattr(risk, "sample_batch", counting)
+        config = ExperimentConfig(kind="bounds", n_samples=5_000, params={
+            "a_star": [[1.0, 0.3], [0.0, 0.8]], "a": [[0.9, 0.2], [0.1, 0.7]], "epsilon": 0.5})
+        run_experiment(config)
+        assert sum(drawn) == 5_000
+
 
 class TestAstarGapBounds:
     def test_zero_budget(self):
@@ -143,6 +171,9 @@ class TestAstarGapBounds:
         bounds = astar_gap_bounds(prob)
         assert np.isclose(bounds.lower, 4.0 / np.sqrt(np.pi) + 1.0, rtol=1e-12)
         assert np.isclose(bounds.upper, 2.0 * np.sqrt(2.0) + 1.0, rtol=1e-12)
+
+    def test_draws_no_gap(self):
+        assert astar_gap_bounds(make_problem(np.eye(2), sigma_w=np.eye(2))).gap is None
 
     def test_anisotropic_noise_rejected(self):
         prob = make_problem(np.eye(2), sigma_w=np.diag([0.1, 0.2]))
