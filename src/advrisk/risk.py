@@ -198,15 +198,14 @@ def gap_bounds_mc(
     stream: RngStream,
     base_index: int = 0,
 ) -> GapBounds:
-    """Sandwich bounds ``2 eps E||A'(y-Ax)|| + eps^2 lambda_{min/max}(A'A)``,
-    with the gap they bound.
+    """Sandwich bounds ``2 eps E||A'(y-Ax)|| + eps^2 lambda_{min/max}(A'A)``
+    and, from the same pass, the gap they bound.
 
     The cross term is estimated by Monte Carlo; the eigenvalue extremes come
     from the SVD (``lambda_min = 0`` for wide matrices, whose Gram matrix is
-    rank deficient).  The same pass solves the inner adversary per sample,
-    so ``gap`` equals ``ar_sr_gap_mc`` on the same stream and base index,
-    bit for bit, and a residual whose weights overflow raises
-    ``FloatingPointError`` here.
+    rank deficient).  ``gap`` is ``ar_sr_gap_mc`` on the same stream and
+    base index, bit for bit; a residual whose weights overflow in the inner
+    solve raises ``FloatingPointError``.
     """
     eps = problem.epsilon
     fact, out = _mc_columns(a, partial(sample_batch, problem), n_samples, stream, base_index, eps,
