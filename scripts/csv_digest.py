@@ -8,15 +8,17 @@ a = A* and at a != A*, also at a size whose last sampling block is one
 row), ``pareto`` (also at a size whose last training block is one step),
 ``perturb`` on an easy row and on a hard one (branch_code 1),
 ``kalman-bounds`` at horizon 5, at horizon 0 (no process noise in the
-stacked model) and on two ``systems`` entries of horizons 3 and 5 with no
-``k``, and a ``fig-kf-vs-adv`` that trains a smoother at an interior
-``k < N``.  A ``pareto`` run and a ``kalman-bounds`` system have
-non-diagonal covariances, so the bytes depend on how each Cholesky factor
-is computed and applied.  Running it before
-and after a change that must not alter any number gives two tables that
-should match line for line.  With ``--against TABLE`` (the output of an
-earlier run, saved to a file) it also compares the two tables, names every
-file whose line differs on stderr, and exits 1 if any does.
+stacked model, and an infinite ``ub_kalman``), on two ``systems`` entries of
+horizons 3 and 5 with no ``k`` and on two whose small measurement noise puts
+``kalman_gap_upper_bound`` in its high-observability regime, and a
+``fig-kf-vs-adv`` that trains a smoother at an interior ``k < N``.  A
+``pareto`` run and a ``kalman-bounds`` system have non-diagonal
+covariances, so the bytes depend on how each Cholesky factor is computed
+and applied.  Running it before and after a change that must not alter
+any number gives two tables that should match line for line.  With
+``--against TABLE`` (the output of an earlier run, saved to a file) it also
+compares the two tables, names every file whose line differs on stderr, and
+exits 1 if any does.
 
 Usage:
     python scripts/csv_digest.py OUTDIR
@@ -25,6 +27,7 @@ Usage:
 
 import argparse
 import hashlib
+import math
 import pathlib
 import sys
 
@@ -39,6 +42,8 @@ _A = [[0.9, 0.2, 0.1], [0.1, 0.7, 0.0], [0.0, -0.3, 0.5]]
 # inner solve's sums run over a 12-wide top cluster
 _Q16 = np.linalg.qr(np.random.default_rng(0).standard_normal((16, 16)))[0]
 _A_STAR16 = _Q16 * np.concatenate([np.ones(12), [0.5, 0.3, 0.2, 0.1]])
+# the rotation_system of alpha = 0.95
+_ROT95 = [[0.95, math.sqrt(1.0 - 0.95 * 0.95)], [-math.sqrt(1.0 - 0.95 * 0.95), 0.95]]
 
 # name -> ExperimentConfig fields; MC sizes exceed one sampling block
 # (risk._GEN_CHUNK rows) so the chunked path is covered; so do the training
@@ -77,6 +82,14 @@ EXTRA = {
         "epsilon": 0.5, "systems": [
             {"a": [[0.9, 0.3], [-0.3, 0.9]], "c": [[1.0, 0.0]], "horizon": 3,
              "sigma0": [[1.0, 0.3], [0.3, 0.8]], "sigma_w": [[0.1, 0.02], [0.02, 0.2]]},
+        ]}),
+    # sqrt(lambda_min(gramian)) * lambda_min(Sigma_bar) exceeds sqrt(sigma_v):
+    # ub_kalman takes its refined (high-observability) form
+    "kalman_bounds_quiet": dict(kind="kalman-bounds", n_samples=40_000, params={
+        "epsilon": 0.5, "systems": [
+            {"a": _ROT95, "c": [[1.0, 0.0]], "sigma_v": [[1e-8]], "horizon": 5},
+            {"a": [[1.0, 0.5], [0.0, 1.0]], "c": [[1.0, 0.0]], "sigma_v": [[1e-4]],
+             "horizon": 3},
         ]}),
     "kf_vs_adv_smoother": dict(kind="fig-kf-vs-adv", n_samples=40_000,
                                params={"rhos": [0.3, 1.5], "k": 1, "horizon": 3, "epsilon": 0.5,

@@ -61,7 +61,6 @@ from .experiments import (
     ExperimentConfig,
     ResultTable,
     generate_conditioned_matrix,
-    read_result_table,
     rotation_system,
     run_experiment,
     shear_system,

@@ -195,28 +195,6 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def read_result_table(path) -> ResultTable:
-    """Parse a CSV written by ``ResultTable.write_csv``."""
-    metadata = {}
-    header = None
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                metadata[key] = value
-            elif header is None:
-                header = line.split(",")
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    if header is None:
-        raise ValueError(f"no header found in {path}")
-    return ResultTable(header=header, rows=rows, metadata=metadata)
-
-
 def generate_conditioned_matrix(n: int, condition: float, stream: RngStream) -> np.ndarray:
     """Random square matrix with prescribed condition number and unit
     Frobenius norm.
@@ -346,6 +324,8 @@ def _run_perturb(config: ExperimentConfig) -> ResultTable:
     if a.ndim != 2 or b.size != a.shape[0]:
         raise ConfigError(f"perturb needs a matrix 'a' and a 'b' with one entry per row of 'a', "
                           f"got shapes {a.shape} and {b.shape}")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ConfigError("perturb needs 'a' and 'b' with finite entries")
     res = worst_case_perturbation(a, b, _epsilon(params))
     header = ["dual_lambda", "objective_gain", "branch_code", "delta_norm"] + [
         f"delta_{i}" for i in range(res.delta.size)

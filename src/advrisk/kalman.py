@@ -56,6 +56,9 @@ class LtiSystem:
         c = frozen_array(self.c)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
+        for name, mat in (("a", a), ("c", c)):
+            if not np.all(np.isfinite(mat)):
+                raise ValueError(f"{name} has non-finite entries")
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"dynamics matrix must be square, got {a.shape}")
         n = a.shape[0]
@@ -406,22 +409,23 @@ def gap_upper_bound_general(l, system: LtiSystem, k: int, epsilon: float) -> flo
     return 2.0 * epsilon * spec_norm * root_fro + epsilon * epsilon * spec_norm * spec_norm
 
 
-def _state_noise_matrix(system: LtiSystem, k: int) -> np.ndarray:
-    """``A^k Sigma_0 (A^k)' + sum_{i=1}^k A^{k-i} Sigma_w (A^{k-i})'``."""
-    pows = _powers(system.a, k)
-    mat = pows[k] @ system.sigma0.matrix @ pows[k].T
-    for i in range(1, k + 1):
-        mat = mat + pows[k - i] @ system.sigma_w.matrix @ pows[k - i].T
-    return 0.5 * (mat + mat.T)
-
-
-def _sigma_bar_extremes(system: LtiSystem) -> tuple[float, float]:
-    """(min, max) eigenvalues of ``blockdiag(Sigma_0, I_N (x) Sigma_w)``."""
+def _nominal_spectra(system: LtiSystem, k: int):
+    """``(gramian, sigma_v, sigma_bar, state)``: the observability gramian and
+    the (min, max) eigenvalues, as numpy scalars, of ``Sigma_v``, of
+    ``Sigma_bar = blockdiag(Sigma_0, I_N (x) Sigma_w)`` and of ``Cov(x_k) =
+    A^k Sigma_0 (A^k)' + sum_{i=1}^k A^{k-i} Sigma_w (A^{k-i})'``."""
+    _check_k(system, k)
+    gram = observability_gramian(system)
+    sv = np.linalg.eigvalsh(system.sigma_v.matrix)
     e0 = np.linalg.eigvalsh(system.sigma0.matrix)
-    ew = np.linalg.eigvalsh(system.sigma_w.matrix)
-    if system.horizon == 0:
-        return float(e0[0]), float(e0[-1])
-    return float(min(e0[0], ew[0])), float(max(e0[-1], ew[-1]))
+    ew = np.linalg.eigvalsh(system.sigma_w.matrix) if system.horizon else e0
+    pows = _powers(system.a, k)
+    state = pows[k] @ system.sigma0.matrix @ pows[k].T
+    for i in range(1, k + 1):
+        state = state + pows[k - i] @ system.sigma_w.matrix @ pows[k - i].T
+    sx = np.linalg.eigvalsh(0.5 * (state + state.T))
+    return (gram, (sv[0], sv[-1]), (min(e0[0], ew[0]), max(e0[-1], ew[-1])),
+            (sx[0], sx[-1]))
 
 
 def kalman_gap_lower_bound(system: LtiSystem, k: int, epsilon: float) -> float:
@@ -435,24 +439,15 @@ def kalman_gap_lower_bound(system: LtiSystem, k: int, epsilon: float) -> float:
     ``rho^(2k) sigma_0^2 + sigma_w^2 sum_{j=0}^{k-1} rho^(2j)``.
     Raises ``FloatingPointError`` if it overflows, as ``gap_lower_bounds``.
     """
-    _check_k(system, k)
-    gram = observability_gramian(system)
-    sv_eigs = np.linalg.eigvalsh(system.sigma_v.matrix)
-    sv_min, sv_norm = float(sv_eigs[0]), float(sv_eigs[-1])
-    _, bar_max = _sigma_bar_extremes(system)
-    noise_floor = float(np.linalg.eigvalsh(_state_noise_matrix(system, k))[0])
-    overflow = "kalman_gap_lower_bound overflows: the system's scale is too large"
-    denom = (system.horizon + 1) * bar_max * gram.frobenius + sv_norm
-    if not np.isfinite(denom):  # a Python float overflows to inf silently; the bound would be 0
-        raise FloatingPointError(overflow)
-    ratio = noise_floor / denom
-    c_fro = float(np.sum(system.c * system.c))
+    gram, (sv_min, sv_norm), (_, bar_max), (noise_floor, _) = _nominal_spectra(system, k)
     try:
-        with np.errstate(over="raise"):
-            return (_HALF_NORMAL * 2.0 * epsilon / np.sqrt(system.n) * np.sqrt(sv_min) * c_fro
-                    * ratio**2)
-    except OverflowError as exc:  # ratio**2 is a Python float's
-        raise FloatingPointError(overflow) from exc
+        with np.errstate(over="raise"):  # an infinite denominator would make the bound 0
+            ratio = noise_floor / ((system.horizon + 1) * bar_max * gram.frobenius + sv_norm)
+            return (_HALF_NORMAL * 2.0 * epsilon / np.sqrt(system.n) * np.sqrt(sv_min)
+                    * np.sum(system.c * system.c) * ratio**2)
+    except FloatingPointError as exc:
+        raise FloatingPointError("kalman_gap_lower_bound overflows: the system's scale is "
+                                 "too large") from exc
 
 
 def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[float, str]:
@@ -465,12 +460,8 @@ def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[f
     form applies.  The bound decreases as ``lambda_min`` of the gramian
     grows.
     """
-    _check_k(system, k)
-    gram = observability_gramian(system)
-    bar_min, bar_max = _sigma_bar_extremes(system)
-    sv_eigs = np.linalg.eigvalsh(system.sigma_v.matrix)
-    sv_min, sv_norm = float(sv_eigs[0]), float(sv_eigs[-1])
-    s_floor = np.sqrt(max(gram.lambda_min, 0.0)) * bar_min
+    gram, (sv_min, sv_norm), (bar_min, bar_max), (_, nu) = _nominal_spectra(system, k)
+    s_floor = gram.min_singular_value * bar_min
     if s_floor <= 0.0:
         return float("inf"), REGIME_LOW
     if s_floor >= np.sqrt(sv_min):
@@ -479,7 +470,6 @@ def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[f
     else:
         beta = 1.0 / s_floor
         regime = REGIME_LOW
-    nu = float(np.linalg.eigvalsh(_state_noise_matrix(system, k))[-1])
     with np.errstate(over="ignore"):  # a bound beyond the float range is inf; nu, beta > 0
         value = (
             epsilon

@@ -197,10 +197,13 @@ def train(problem, config: TrainConfig, on_iterate=None) -> np.ndarray:
             a = a - (c0 / t**config.step_decay) * grad
             norm = float(np.linalg.norm(a))
             if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
-                raise TrainingDivergedError(
-                    f"iterate norm {norm:.3e} at step {t}; reduce step_c0={c0:.3e} "
-                    f"or increase step_decay={config.step_decay}"
-                )
+                # a gradient that is not finite came from an iterate that
+                # passed this check: the step size is not what overflowed
+                advice = (f"reduce step_c0={c0:.3e} or increase step_decay={config.step_decay}"
+                          if np.all(np.isfinite(grad)) else
+                          f"the gradient overflows; reduce epsilon={config.epsilon:.3e} or the "
+                          f"data's scale")
+                raise TrainingDivergedError(f"iterate norm {norm:.3e} at step {t}; {advice}")
             if on_iterate is not None:
                 on_iterate(t, a)
             if t > config.n_iters - tail_len:

@@ -20,7 +20,6 @@ from advrisk.experiments import (
     ResultTable,
     default_lambda_grid,
     generate_conditioned_matrix,
-    read_result_table,
     rotation_system,
     run_experiment,
     shear_system,
@@ -96,12 +95,12 @@ class TestResultTable:
         table = ResultTable(header=["a", "b", "c"], rows=rows, metadata={"seed": 1})
         path = tmp_path / "t.csv"
         table.write_csv(path)
-        back = read_result_table(path)
-        assert back.header == table.header
-        assert back.metadata["seed"] == "1"
-        for r1, r2 in zip(rows, back.rows):
-            for v1, v2 in zip(r1, r2):
-                assert v1 == v2  # 17 significant digits round-trip doubles
+        metadata, header, *body = path.read_text(encoding="utf-8").splitlines()
+        assert metadata == "# seed=1"
+        assert header.split(",") == table.header
+        for r1, line in zip(rows, body, strict=True):
+            for v1, v2 in zip(r1, line.split(","), strict=True):
+                assert v1 == float(v2)  # 17 significant digits round-trip doubles
 
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="width"):
@@ -306,9 +305,10 @@ class TestCli:
         assert main(["bounds", "--config", str(path)]) == 2
 
     def test_numerical_failure_exit_code(self, tmp_path):
+        # finite inputs whose weights (b'u sigma)^2 overflow; a NaN b is a
+        # config error
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"params": {"a": [[1.0]], "b": [float("nan")],
-                                               "epsilon": 0.5}}))
+        path.write_text(json.dumps({"params": {"a": [[1e200]], "b": [1e200], "epsilon": 0.5}}))
         assert main(["perturb", "--config", str(path)]) == 3
 
     @pytest.mark.parametrize("command, params", [
@@ -420,12 +420,16 @@ class TestCli:
         ("perturb", {"a": [[1.0, 0.0], [0.0, 2.0]], "b": [1.0, 1.0], "epsilon": -1.0}),
         ("perturb", {"a": [[1.0, 0.0], [0.0, 2.0]], "b": [1.0, 1.0], "epsilon": True}),
         ("perturb", {"a": [[1.0, 0.0], [0.0, 2.0]], "b": [1.0, 1.0, 1.0]}),
+        # JSON's 1e999 parses to inf, as Infinity does
+        ("perturb", {"a": [[1.0, 0.0]], "b": [float("inf")]}),
+        ("perturb", {"a": [[float("nan"), 0.0]], "b": [1.0]}),
         ("risk", {"a_star": [[1.0, 0.0], [0.0, 2.0]], "a": [[1.0, 0.0, 0.0]]}),
         ("risk", {"a_star": [[1.0, 0.0], [0.0, 2.0]], "a": [["x"]]}),
         ("risk", {"a_star": [[1.0, 0.0], [0.0, 2.0]], "epsilon": True}),
         ("bounds", {"a_star": [[1.0, 0.0], [0.0, 2.0]], "a": [[1.0, 0.0, 0.0]]}),
         ("bounds", {"a_star": [[1.0, 0.0], [0.0, 2.0]], "a": [["x"]]}),
-    ], ids=["perturb-eps-negative", "perturb-eps-bool", "perturb-b-length", "risk-a-shape",
+    ], ids=["perturb-eps-negative", "perturb-eps-bool", "perturb-b-length", "perturb-b-inf",
+            "perturb-a-nan", "risk-a-shape",
             "risk-a-string", "risk-eps-bool", "bounds-a-shape", "bounds-a-string"])
     def test_bad_model_and_budget_are_config_errors(self, tmp_path, command, params):
         path = tmp_path / "cfg.json"
@@ -480,6 +484,9 @@ class TestCli:
         ("kalman", {"systems": 5}),
         ("kalman", {"a": [[1.0]], "c": [[1.0]], "horizon": 2.5}),
         ("kalman", {"systems": [{"a": [[1.0]], "c": [[1.0]], "horizon": 2}], "k": 4}),
+        ("kalman", {"a": [[float("inf")]], "c": [[1.0]]}),
+        ("kalman", {"a": [[1.0]], "c": [[float("nan")]]}),
+        ("kalman", {"systems": [dict(_SYSTEM, c=[[float("nan")]])]}),
         ("fig-condition", {"kappas": [0.5]}),
         ("fig-condition", {"kappas": 10.0}),
         ("fig-condition", {"n": 2.5}),
@@ -501,7 +508,8 @@ class TestCli:
         ("fig-kf-vs-adv", {"rhos": []}),
     ], ids=["k-fraction", "k-string", "horizon-negative", "epsilon-negative", "epsilon-nan",
             "alpha-string", "systems-number", "system-horizon-fraction",
-            "k-past-system-horizon", "kappa-below-one",
+            "k-past-system-horizon", "system-a-inf", "system-c-nan", "systems-entry-c-nan",
+            "kappa-below-one",
             "kappas-scalar", "n-fraction", "ks-past-horizon", "alpha-inf", "k-past-horizon",
             "n-rhos-zero", "rho-nan", "alphas-with-systems", "alphas-with-top-level-system",
             "alphas-with-top-level-c", "systems-with-top-level-system", "rhos-with-n-rhos",
@@ -551,9 +559,9 @@ class TestCli:
         assert main(["risk", "--config", str(cfg_path), "--out", str(out1)]) == 0
         assert main(["risk", "--config", str(cfg_path), "--seed", "2", "--samples", "60",
                      "--out", str(out2)]) == 0
-        t1, t2 = read_result_table(out1), read_result_table(out2)
-        assert t1.metadata["seed"] == "1" and t2.metadata["seed"] == "2"
-        assert t1.metadata["config_hash"] != t2.metadata["config_hash"]
+        m1, m2 = (out.read_text().splitlines()[:2] for out in (out1, out2))
+        assert m1[0] == "# seed=1" and m2[0] == "# seed=2"
+        assert m1[1].startswith("# config_hash=") and m1[1] != m2[1]
 
     @pytest.mark.parametrize("params, code, shown", [
         ({"a": [[1e200, 0.0], [0.0, 1.0]], "b": [1e-300, 2.0], "epsilon": 0.5}, 0, "inf,inf"),
@@ -607,8 +615,8 @@ class TestCli:
         (["kalman"], {"alphas": [0.9], "epsilon": 1.7e308}, 3, "overflow"),
         (["kalman"], {"a": [[1e100]], "c": [[1e-200]], "sigma0": [[1e-300]], "horizon": 2}, 3,
          "kalman_gap_lower_bound overflows"),
-        # the bound's denominator, a sum of Python floats, overflows to inf
-        # without an error: the bound read 0
+        # the bound's denominator overflows: an infinite one would make the
+        # bound 0
         (["kalman"], {"a": [[1.0]], "c": [[1.0]], "sigma_w": [[1e307]]}, 3,
          "kalman_gap_lower_bound overflows"),
         # the closed-form SR is inf; the residuals overflow the solve
@@ -638,6 +646,8 @@ class TestCli:
         assert main([*command, "--config", str(cfg_path)]) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err and "iterate norm nan" in err
+        # the step size did not overflow the gradient, the budget did
+        assert "reduce epsilon=1.700e+308" in err and "step_c0" not in err
 
     @pytest.mark.parametrize("kappa", [1.4e154, 1e308])
     def test_kappa_whose_diagonal_norm_overflows_is_a_config_error(self, tmp_path, capsys,
@@ -672,8 +682,8 @@ class TestCli:
         rc = main(["experiment", "fig-kf-vs-adv", "--config", str(cfg_path),
                    "--out", str(out), "--svg"])
         assert rc == 0
-        table = read_result_table(out)
-        assert "ar_kf_mean" in table.header and "ar_adv_mean" in table.header
+        header = next(line for line in out.read_text().splitlines() if not line.startswith("#"))
+        assert "ar_kf_mean" in header.split(",") and "ar_adv_mean" in header.split(",")
         assert (tmp_path / "fig.svg").exists()
 
 
