@@ -6,7 +6,8 @@ The set is the three quick figures (sizes as in ``reproduce_figures.py
 row, and at n = 16 with a 12-wide top singular cluster), ``bounds`` (at
 a = A* and at a != A*, also at a size whose last sampling block is one
 row), ``pareto`` (also at a size whose last training block is one step),
-``perturb`` on an easy row and on a hard one (branch_code 1),
+``perturb`` on an easy row, on a hard one (branch_code 1) and on one row
+of a dense 16 x 16 model (a lone row's 16-term sums),
 ``kalman-bounds`` at horizon 5, at horizon 0 (no process noise in the
 stacked model, and an infinite ``ub_kalman``), on two ``systems`` entries of
 horizons 3 and 5 with no ``k`` and on two whose small measurement noise puts
@@ -42,6 +43,10 @@ _A = [[0.9, 0.2, 0.1], [0.1, 0.7, 0.0], [0.0, -0.3, 0.5]]
 # inner solve's sums run over a 12-wide top cluster
 _Q16 = np.linalg.qr(np.random.default_rng(0).standard_normal((16, 16)))[0]
 _A_STAR16 = _Q16 * np.concatenate([np.ones(12), [0.5, 0.3, 0.2, 0.1]])
+# a dense 16 x 16 model with distinct singular values: a lone row's root find
+# sums 16 terms per sweep, and this row's root depends on their order
+_A16 = np.random.default_rng(1).standard_normal((16, 16))
+_B16 = np.random.default_rng(3).standard_normal(16)
 # the rotation_system of alpha = 0.95
 _ROT95 = [[0.95, math.sqrt(1.0 - 0.95 * 0.95)], [-math.sqrt(1.0 - 0.95 * 0.95), 0.95]]
 
@@ -116,6 +121,8 @@ EXTRA = {
     "perturb_hard": dict(kind="perturb", params={
         "a": _A, "b": [0.04664557796997675, -0.06215959809626678, 0.06293150578491996],
         "epsilon": 0.5}),
+    "perturb_n16": dict(kind="perturb",
+                        params={"a": _A16.tolist(), "b": _B16.tolist(), "epsilon": 0.5}),
 }
 
 

@@ -72,8 +72,8 @@ class ExperimentConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.n_samples <= 0:
-            raise ConfigError("n_samples must be positive")
+        if self.n_samples < 2:
+            raise ConfigError("n_samples must be at least 2: one sample has no standard error")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
         if not (self.output_path is None or isinstance(self.output_path, str)):

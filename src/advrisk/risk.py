@@ -24,8 +24,8 @@ from .trs import SvdFactorization, _row_sums, svd_full, worst_case_batch
 # n_samples.  A block holds at most five such arrays at once, in the inner
 # solve's root find: the residuals, their singular-basis components, the
 # weights (once: each sweep gathers the rows still active into its own
-# buffers) and one sweep's two buffers, plus under half of one for a row sum's partial
-# sums; at width 16 that is about 1.4 MB, inside a 2 MB per-core L2.  At
+# buffers) and one sweep's two buffers; at width 16 that is about 1.25 MB, and
+# with the root find's per-row vectors 1.5 MB, inside a 2 MB per-core L2.  At
 # 4 096 rows glibc handed the arrays freed at each block's end back to the
 # system and the next block faulted them in again (up to about 215 k minor
 # faults per warmed pass of the benchmark's mc-risk workload, 0 at 2 048); at
@@ -74,14 +74,17 @@ def mc_estimate(values: np.ndarray) -> RiskEstimate:
 
     Overflow is not an error here or in the other risk sums: an infinite
     value is reported as inf, and a NaN one reaches run_experiment's NaN
-    check (CLI exit 3).
+    check (CLI exit 3).  Raises ``ValueError`` below 2 values, which have no
+    standard error.
     """
     n = values.size
+    if n < 2:
+        raise ValueError("n_samples must be at least 2: one sample has no standard error")
     total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _SUM_SHARD):
             total += float(values[start : start + _SUM_SHARD].sum())
-        stderr = float(values.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+        stderr = float(values.std(ddof=1) / np.sqrt(n))
     return RiskEstimate(mean=total / n, std_error=stderr)
 
 
@@ -130,8 +133,8 @@ def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):
         # path, which rounds unlike the same row in a larger call: draw and
         # solve 2 rows, keep cnt.
         inputs, targets = draw(max(cnt, 2), stream, base_index + start)
-        # _row_sums has np.add.reduce's bits, so ||b||^2 and ||A'b|| are
-        # those of (b * b).sum(axis=1) and np.linalg.norm(b @ a, axis=1).
+        # _row_sums adds a row's terms in column order, so ||b||^2 and ||A'b||
+        # do not depend on which rows share the block.
         with np.errstate(over="ignore", invalid="ignore"):
             b = inputs @ a.T
             np.subtract(targets, b, out=b)

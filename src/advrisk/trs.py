@@ -15,8 +15,8 @@ The solver is vectorized over right-hand sides ``b`` so one factorization
 of ``A`` serves an entire Monte Carlo batch.  The root find holds its
 weights as an (r, m) array, one column per right-hand side, and sums each
 right-hand side's terms with vector adds over whole rows of it
-(``_row_sums``), in the pairwise order of numpy's own row sum, so the
-results have the bits numpy's per-row loop would give.
+(``_row_sums``): in column order, so a row's sums, and so its root, have
+the same bits whatever rows share its batch.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ CLUSTER_RTOL = 1e-9
 HARD_MARGIN = 1e-9
 ROOT_RTOL = 1e-12
 MAX_ROOT_ITER = 200
-# From this many rows on, vector adds over 8 or more terms beat numpy's loop
-# per row (``_row_sums``).
-_VECTOR_SUM_ROWS = 256
 # The root find's scalar operands, as 0-d arrays (``_secular_mu``).
 _ZERO, _ONE, _HALF, _TINY, _SPACING = (
     np.array(v) for v in (0.0, 1.0, 0.5, 1e-300, np.finfo(float).eps))
@@ -98,54 +95,15 @@ def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _row_sums(x: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(x, axis=1)`` as numpy sums a C-ordered ``x``, from
-    vector adds over whole columns instead of numpy's loop per row.
+    """Sum each row of the (m, k) view ``x`` term by term in column order,
+    whatever its layout and whatever rows share the batch.
 
-    numpy 2 sums a contiguous row pairwise (Higham, 1993): fewer than 8 terms
-    left to right; up to 128 in 8 interleaved partial sums joined as
-    ``((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))``, then the rest in
-    turn.  Longer rows, rows that are contiguous already, and batches of
-    fewer than ``_VECTOR_SUM_ROWS`` rows with 8 or more terms are left to
-    numpy's own loop (over a C-ordered copy), which costs less there.  The one
-    difference: numpy starts from +0.0, so a row of -0.0 terms only sums to
-    +0.0 there and to -0.0 here (the solver sums squares, never -0.0).
+    numpy sums axis 0 of a C-ordered (k, m) array by vector adds over whole
+    rows, in turn; for one column it would sum pairwise instead, so a lone
+    row is summed by ``accumulate``, which adds in turn too.
     """
-    t = x.T  # t[j] holds term j of every row
-    n = len(t)
-    if n < 8:
-        if n < 2:
-            return np.add.reduce(x, axis=1)
-        s = t[0] + t[1]
-        for j in range(2, n):
-            s += t[j]
-        return s
-    if n > 128 or x.flags.c_contiguous or len(x) < _VECTOR_SUM_ROWS:
-        return np.add.reduce(np.ascontiguousarray(x), axis=1)
-    return _pairwise(t)
-
-
-def _pairwise(t: np.ndarray) -> np.ndarray:
-    """Sum over the 8 to 128 rows ``t[j]`` in numpy's pairwise order
-    (``_row_sums``), two terms to an add."""
-    n = len(t)
-    stop = n - n % 8
-
-    def pair(j):
-        # r_j + r_(j+1), with numpy's partial sums r_i = t[i] + t[i + 8] + ...
-        # in turn; two at a time, so that the temporaries stay small
-        r = t[j : j + 2] if stop == 8 else t[j : j + 2] + t[j + 8 : j + 10]
-        for i in range(j + 16, stop, 8):
-            r += t[i : i + 2]
-        return r[0] + r[1]
-
-    s = pair(0)
-    s += pair(2)
-    s_high = pair(4)
-    s_high += pair(6)
-    s += s_high
-    for j in range(stop, n):
-        s += t[j]
-    return s
+    t = np.ascontiguousarray(x.T)  # t[j] holds term j of every row
+    return np.add.reduce(t, axis=0) if t.shape[1] != 1 else np.add.accumulate(t, axis=0)[-1]
 
 
 def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
@@ -158,7 +116,7 @@ def _secular_mu(w: np.ndarray, gaps: np.ndarray, eps: float, w_top: np.ndarray,
     quantities, so near-hard instances lose no precision to cancellation.
     ``w`` holds the weights as an (r, m) array, one column per row of the
     batch, so that each sweep's two row sums are contiguous vector adds in
-    numpy's own order (``_row_sums``).  ``w_top`` and ``wsum``, each row's
+    column order, split-invariant (``_row_sums``).  ``w_top`` and ``wsum``, each row's
     weight on the zero gaps and its total weight, bracket the root.  The rows
     ``rows`` are the first active set; every other row's mu is 0.  Each sweep
     gathers the weights of the rows still active into its own buffer, so ``w``

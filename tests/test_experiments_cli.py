@@ -708,6 +708,21 @@ _TINY = {
 }
 _COMMAND = {kind: ["kalman"] if kind == "kalman-bounds" else
             ["experiment", kind] if kind.startswith("fig-") else [kind] for kind in _TINY}
+
+
+@pytest.mark.parametrize("kind", ["risk", "bounds", "kalman-bounds", "pareto"])
+def test_one_sample_is_config_error(tmp_path, capsys, kind):
+    # one draw has no standard error; a stderr column of 0 would claim an
+    # exact estimate
+    out = tmp_path / "out.csv"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(_TINY[kind], n_samples=1)))
+    assert main([*_COMMAND[kind], "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "n_samples must be at least 2" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 # Values that are wrong for most keys.  None of them is a large finite
 # integral number: one such in n_iters or n_rhos would be a valid, endless run.
 _BAD = st.one_of(

@@ -85,6 +85,12 @@ class TestAdversarialRiskMc:
         est = adversarial_risk_mc(prob.a_star, prob, 1000, RngStream(77))
         assert est.std_error > 0.0
 
+    def test_one_sample_rejected(self):
+        # one draw has no standard error
+        prob = make_problem(np.eye(2))
+        with pytest.raises(ValueError, match="at least 2"):
+            adversarial_risk_mc(prob.a_star, prob, 1, RngStream(77))
+
 
 class TestScalarExactness:
     def test_row_model_gap_matches_upper_bound_pathwise(self, rng):
