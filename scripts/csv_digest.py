@@ -21,9 +21,21 @@ any number gives two tables that should match line for line.  With
 compares the two tables, names every file whose line differs on stderr, and
 exits 1 if any does.
 
+With ``--compare OLD_OUTDIR`` (the CSVs of an earlier run) it judges a change
+that alters numbers on purpose.  For every file whose bytes differ it prints
+to stderr, per column, the largest |z| of a mean against its old value with
+the combined standard error sqrt(s_old^2 + s_new^2) (``ar_mean`` with
+``ar_stderr``, ``ar_kf_mean`` with ``ar_kf_stderr``, ``cross_term`` with
+``cross_stderr``, ...), and the largest relative deviation of every other
+column.  It exits 1 when a |z| exceeds 4, unless that column is named with
+``--allow FILE:COLUMN`` (for instance ``--allow fig_kf_vs_adv.csv:ar_adv_mean``,
+a mean that the change moves on purpose), or when a file's header or row
+count changed.
+
 Usage:
     python scripts/csv_digest.py OUTDIR
     python scripts/csv_digest.py OUTDIR --against TABLE
+    python scripts/csv_digest.py OUTDIR --compare OLD_OUTDIR [--allow FILE:COLUMN ...]
 """
 
 import argparse
@@ -146,12 +158,82 @@ def read_table(path) -> dict[str, str]:
     return table
 
 
+# a |z| above this fails --compare
+Z_LIMIT = 4.0
+
+
+def read_csv(path) -> tuple[list[str], list[list[float]]]:
+    """The header and rows of an experiment CSV, without its ``#`` lines."""
+    lines = [line for line in pathlib.Path(path).read_text().splitlines()
+             if not line.startswith("#")]
+    return lines[0].split(","), [[float(v) for v in line.split(",")] for line in lines[1:]]
+
+
+def stderr_column(name: str) -> str:
+    """The name of the standard-error column that goes with a mean column."""
+    for suffix in ("_mean", "_term"):
+        if name.endswith(suffix):
+            return name[: -len(suffix)] + "_stderr"
+    return ""
+
+
+def _deviation(new: float, old: float, scale: float) -> float:
+    """``|new - old| / scale``: 0 when equal, inf when only the scale is 0."""
+    if new == old:
+        return 0.0
+    return abs(new - old) / scale if scale else math.inf
+
+
+def compare_dirs(new_dir, old_dir, allow=()) -> int:
+    """Print, for every CSV of ``new_dir`` whose bytes differ from the same
+    file in ``old_dir``, each column's largest |z| or relative deviation;
+    return 1 if a |z| not in ``allow`` ("FILE:COLUMN") exceeds ``Z_LIMIT`` or a
+    file's header or row count changed, else 0."""
+    failed = False
+    paths = sorted(pathlib.Path(new_dir).glob("*.csv"))
+    identical = 0
+    for path in paths:
+        old_path = pathlib.Path(old_dir) / path.name
+        if not old_path.exists():
+            print(f"{path.name}: not in {old_dir}, not compared", file=sys.stderr)
+            continue
+        if path.read_bytes() == old_path.read_bytes():
+            identical += 1
+            continue
+        header, rows = read_csv(path)
+        old_header, old_rows = read_csv(old_path)
+        if header != old_header or len(rows) != len(old_rows):
+            print(f"{path.name}: FAIL, the header or the row count changed", file=sys.stderr)
+            failed = True
+            continue
+        pairs = list(zip(rows, old_rows))
+        for j, name in enumerate(header):
+            if stderr_column(name) not in header:
+                worst = max(_deviation(new[j], old[j], abs(old[j])) for new, old in pairs)
+                print(f"{path.name}: {name} max relative deviation {worst:.3g}",
+                      file=sys.stderr)
+                continue
+            k = header.index(stderr_column(name))
+            worst = max(_deviation(new[j], old[j], math.hypot(new[k], old[k]))
+                        for new, old in pairs)
+            allowed = f"{path.name}:{name}" in allow
+            note = (" (allowed)" if allowed else " FAIL") if worst > Z_LIMIT else ""
+            failed = failed or note == " FAIL"
+            print(f"{path.name}: {name} max |z| {worst:.3g}{note}", file=sys.stderr)
+    print(f"{identical} of {len(paths)} files identical to {old_dir}", file=sys.stderr)
+    return 1 if failed else 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("outdir")
     parser.add_argument("--against", metavar="TABLE",
                         help="sha256 table of an earlier run to compare with")
+    parser.add_argument("--compare", metavar="OLD_OUTDIR",
+                        help="CSVs of an earlier run to compare with statistically")
+    parser.add_argument("--allow", metavar="FILE:COLUMN", action="append", default=[],
+                        help="a mean that may move by more than 4 combined stderr")
     args = parser.parse_args()
 
     expected = read_table(args.against) if args.against else None
@@ -165,10 +247,11 @@ def main() -> int:
         print(f"{digest}  {path.name}")
         if expected is not None and expected.get(path.name) != digest:
             differ.append(path.name)
+    failed = compare_dirs(outdir, args.compare, args.allow) if args.compare else 0
     if differ:
         print(f"differs from {args.against}: {', '.join(differ)}", file=sys.stderr)
         return 1
-    return 0
+    return failed
 
 
 if __name__ == "__main__":

@@ -284,6 +284,8 @@ def shear_system(rho: float, sigma_v: float = 0.1, horizon: int = 5) -> LtiSyste
 
 def _train_config(config: ExperimentConfig, epsilon: float, lam: float = 0.0) -> TrainConfig:
     train = _known(config.params.get("train", {}), _TRAIN_KEYS, "params.train")
+    if train.get("init", "nominal") not in ("nominal", "zeros"):
+        raise ConfigError(f"init must be 'nominal' or 'zeros', got {train['init']!r}")
     try:
         return TrainConfig(
             lam=lam,

@@ -204,10 +204,9 @@ def is_observable(system: LtiSystem) -> bool:
     return bool(np.sum(s > 1e-10 * s[0]) == system.n)
 
 
-def _mmse(system: LtiSystem, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(L, G_yy, G_xy)``: the minimum-mean-square estimator ``L`` of
-    ``x_k`` with the second moments it solves, ``G_yy`` the covariance of the
-    stacked measurements and ``G_xy`` its cross term with ``x_k``."""
+def _mmse(system: LtiSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(L, G_yy)``: the minimum-mean-square estimator ``L = G_xy G_yy^-1`` of
+    ``x_k`` and the covariance ``G_yy`` of the stacked measurements ``Y``."""
     # Every power of A up to the horizon enters obs, so an overflow anywhere in
     # the stacked model leaves G_yy or G_xy non-finite and raises here; later
     # builds of the same stacked model then overflow nowhere.
@@ -221,7 +220,7 @@ def _mmse(system: LtiSystem, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     if not (np.isfinite(g_yy).all() and np.isfinite(g_xy).all()):
         raise FloatingPointError("the stacked second moments G_yy, G_xy overflow: the "
                                  "system's scale is too large")
-    return np.linalg.solve(g_yy.T, g_xy.T).T, g_yy, g_xy
+    return np.linalg.solve(g_yy.T, g_xy.T).T, g_yy
 
 
 def kalman_estimator(system: LtiSystem, k: int) -> np.ndarray:
@@ -483,24 +482,19 @@ def kalman_gap_upper_bound(system: LtiSystem, k: int, epsilon: float) -> tuple[f
 def as_estimation_problem(system: LtiSystem, k: int) -> EstimationProblem:
     """Adapter exposing state estimation to the trainers.
 
-    The estimator plays the model role, the stacked measurements the input
-    role, and the target state the output role, so robust smoothers can be
-    trained and frontier-traced with the same machinery as the plain
-    measurement model.
+    The estimator plays the model role, the stacked measurements ``Y`` the
+    input role and the target state ``x_k`` the output role, so robust smoothers
+    are trained on the data model ``(L_kf, G_yy, Cov(x_k - L_kf Y))``.
     """
-    nominal, g_yy, g_xy = _mmse(system, k)
-
-    def sr_grad(l):
-        return 2.0 * (l @ g_yy - g_xy)
+    nominal, g_yy = _mmse(system, k)
 
     def ar_mc(l, eps, n_samples, stream):
         return estimator_ar_mc(l, system, k, eps, n_samples, stream)
 
     return EstimationProblem(
         nominal=nominal,
+        s_in=0.5 * (g_yy + g_yy.T),
+        noise=residual_covariance(nominal, system, k).matrix,
         draw=partial(simulate_rollouts, system, k),
-        sr_closed=lambda l: estimator_sr_closed(l, system, k),
-        sr_grad=sr_grad,
         ar_mc=ar_mc,
-        input_scale=float(np.linalg.eigvalsh(0.5 * (g_yy + g_yy.T))[-1]),
     )

@@ -102,10 +102,14 @@ def standard_risk_closed(a, problem: LinearInverseProblem) -> float:
     a = np.asarray(a, dtype=float)
     if a.shape != problem.a_star.shape:
         raise ValueError(f"model shape {a.shape} != problem shape {problem.a_star.shape}")
+    return _gaussian_sr(a, problem.a_star, problem.sigma_x.matrix, problem.sigma_w.matrix)
+
+
+def _gaussian_sr(a, nominal, s_in, noise) -> float:
+    """SR of ``A`` on ``training.EstimationProblem``'s data model (its ``sr_closed``)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = a - problem.a_star
-        return float(np.trace(problem.sigma_w.matrix)
-                     + np.sum((diff @ problem.sigma_x.matrix) * diff))
+        diff = a - nominal
+        return float(np.trace(noise) + np.sum((diff @ s_in) * diff))
 
 
 def _mc_columns(a, draw, n_samples, stream, base_index, eps, want):

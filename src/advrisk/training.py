@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .model import LinearInverseProblem, RngStream, TrainingDivergedError, sample_batch
-from .risk import _GEN_CHUNK, RiskEstimate, adversarial_risk_mc, standard_risk_closed, with_epsilon
+from .risk import _GEN_CHUNK, RiskEstimate, _gaussian_sr, adversarial_risk_mc, with_epsilon
 from .trs import worst_case_batch
 
 DIVERGENCE_NORM = 1e6
@@ -31,10 +31,10 @@ _EVAL_STREAM = 202
 
 @dataclass(frozen=True, eq=False)
 class EstimationProblem:
-    """Hooks binding a data model to the trainers.
+    """A linear Gaussian estimation problem, as the trainers see it.
 
-    The trained matrix has the shape of ``nominal`` and the loss per pair
-    is ``||y - A x||^2`` (adversarially, ``x`` is perturbed).
+    The target is ``t = nominal u + e``, with ``e ~ N(0, noise)`` independent
+    of the input ``u`` of second moment ``s_in``; the loss is ``||t - A u||^2``.
     ``draw(count, stream, base_index)`` must give row ``i`` from the counter
     block of sample ``base_index + i`` alone, so any split of a sample range
     into calls of two or more rows gives the same bits: ``train`` draws many
@@ -43,31 +43,31 @@ class EstimationProblem:
     """
 
     nominal: np.ndarray
+    s_in: np.ndarray
+    noise: np.ndarray
     draw: Callable[[int, RngStream, int], tuple[np.ndarray, np.ndarray]]
-    sr_closed: Callable[[np.ndarray], float]
-    sr_grad: Callable[[np.ndarray], np.ndarray]
     ar_mc: Callable[[np.ndarray, float, int, RngStream], RiskEstimate]
-    # largest eigenvalue of the input second moment; sets the curvature
-    # scale of the quadratic loss and hence the stable step size
-    input_scale: float
+
+    def sr_closed(self, a: np.ndarray) -> float:
+        """``tr(noise) + tr(D s_in D')`` with ``D = A - nominal``."""
+        return _gaussian_sr(a, self.nominal, self.s_in, self.noise)
+
+    def sr_grad(self, a: np.ndarray) -> np.ndarray:
+        return 2.0 * (a - self.nominal) @ self.s_in  # 2 D s_in, the gradient of sr_closed
 
 
 def problem_adapter(problem: LinearInverseProblem) -> EstimationProblem:
     """Adapter for the plain measurement model ``y = A* x + w``."""
-
-    def sr_grad(a):
-        return 2.0 * (a - problem.a_star) @ problem.sigma_x.matrix
 
     def ar_mc(a, eps, n_samples, stream):
         return adversarial_risk_mc(a, with_epsilon(problem, eps), n_samples, stream)
 
     return EstimationProblem(
         nominal=problem.a_star.copy(),
+        s_in=problem.sigma_x.matrix,
+        noise=problem.sigma_w.matrix,
         draw=partial(sample_batch, problem),
-        sr_closed=lambda a: standard_risk_closed(a, problem),
-        sr_grad=sr_grad,
         ar_mc=ar_mc,
-        input_scale=float(np.linalg.eigvalsh(problem.sigma_x.matrix)[-1]),
     )
 
 
@@ -120,13 +120,12 @@ class TrainConfig:
     def pure_ar(self) -> bool:
         return math.isinf(self.lam)
 
-    def resolved_step_c0(self, input_scale: float) -> float:
+    def resolved_step_c0(self, s_in: np.ndarray) -> float:
         if self.step_c0 is not None:
             return self.step_c0
         lam = 0.0 if self.pure_ar else self.lam
-        # normalize by the problem's curvature scale so the default stays
-        # stable on badly scaled inputs; unit-scale problems are unaffected
-        return 0.01 / (1.0 + lam) / max(1.0, input_scale)
+        # scale by the loss's curvature λ_max(s_in), to stay stable on badly scaled inputs
+        return 0.01 / (1.0 + lam) / max(1.0, float(np.linalg.eigvalsh(s_in)[-1]))
 
 
 def _init_matrix(config: TrainConfig, adapter: EstimationProblem) -> np.ndarray:
@@ -172,7 +171,7 @@ def train(problem, config: TrainConfig, on_iterate=None) -> np.ndarray:
     """
     adapter = _adapter(problem)
     a = _init_matrix(config, adapter)
-    c0 = config.resolved_step_c0(adapter.input_scale)
+    c0 = config.resolved_step_c0(adapter.s_in)
     stream = RngStream(config.seed, _TRAIN_STREAM)
     need_ar = config.pure_ar or config.lam > 0.0
     tail_len = max(1, config.n_iters // 10)

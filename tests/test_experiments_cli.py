@@ -394,13 +394,16 @@ class TestCli:
     @pytest.mark.parametrize("train", [
         {"step_c0": "abc"}, {"step_c0": float("nan")}, {"step_c0": float("inf")},
         {"step_c0": -1.0}, {"init": 5}, {"n_iters": float("inf")}, {"n_iters": 2.7},
-        {"batch_size": 2.7}, {"step_decay": True},
+        {"batch_size": 2.7}, {"step_decay": True}, {"init": [[1.0]]},
     ], ids=["c0-str", "c0-nan", "c0-inf", "c0-negative", "init-int", "iters-inf",
-            "iters-fraction", "batch-fraction", "decay-bool"])
-    def test_malformed_training_block_is_config_error(self, tmp_path, train):
+            "iters-fraction", "batch-fraction", "decay-bool", "init-array"])
+    def test_malformed_training_block_is_config_error(self, tmp_path, capsys, train):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"params": {"a_star": [[1.0]], "train": train}}))
         assert main(["pareto", "--config", str(path)]) == 2
+        if "init" in train:
+            # a config cannot hold an array, so the message offers none
+            assert "init must be 'nominal' or 'zeros'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", [5, ["abc"], [True], [-1.0], [float("nan")],
                                       [-math.inf]],

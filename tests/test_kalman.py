@@ -20,9 +20,9 @@ from advrisk.kalman import (
     residual_covariance,
     simulate_rollouts,
 )
-from advrisk.experiments import ExperimentConfig, rotation_system, run_experiment
+from advrisk.experiments import ExperimentConfig, rotation_system, run_experiment, shear_system
 from advrisk.model import RngStream
-from conftest import random_spd
+from conftest import central_difference, random_spd
 
 
 def make_system(a, c, sigma0=None, sigma_w=None, sigma_v=None, horizon=4):
@@ -356,6 +356,32 @@ class TestEstimationAdapter:
         assert np.isclose(adapter.sr_closed(l_mat), estimator_sr_closed(l_mat, system, 2))
         # gradient vanishes at the optimum
         assert np.linalg.norm(adapter.sr_grad(adapter.nominal)) <= 1e-10
+        # and elsewhere it matches central differences of the closed form; SR
+        # is quadratic, so only rounding separates them
+        numeric = central_difference(lambda m: estimator_sr_closed(m, system, 2), l_mat, 1e-4)
+        grad = adapter.sr_grad(l_mat)
+        assert np.abs(grad - numeric).max() <= 1e-7 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 0.1, 1.0])
+    @pytest.mark.parametrize("system, k", [
+        (shear_system(1.0), 0),
+        (rotation_system(0.99, horizon=5), 5),
+        (make_system([[0.9, 0.3], [-0.3, 0.9]], [[1.0, 0.0]], sigma0=[[1.0, 0.3], [0.3, 0.8]],
+                     sigma_w=[[0.1, 0.02], [0.02, 0.2]], sigma_v=[[0.1]], horizon=3), 1),
+        (rotation_system(0.95, sigma_v=1e-8, horizon=5), 2),
+    ], ids=["shear-k0", "rotation-k5", "correlated-k1", "quiet-k2"])
+    def test_data_model_reproduces_residual_covariance(self, system, k, scale):
+        # with D = L - L_kf, Cov(x_k - L Y) = P + D G_yy D' and SR = tr(P) +
+        # tr(D G_yy D'): (nominal, s_in, noise) reproduce the stacked closed forms
+        adapter = as_estimation_problem(system, k)
+        rng = np.random.default_rng(int(1e6 * scale) + k)
+        l_mat = adapter.nominal + scale * rng.standard_normal(adapter.nominal.shape)
+        closed = estimator_sr_closed(l_mat, system, k)
+        assert abs(adapter.sr_closed(l_mat) - closed) <= 1e-12 * closed
+        d = l_mat - adapter.nominal
+        cov = residual_covariance(l_mat, system, k).matrix
+        assert (np.abs(adapter.noise + d @ adapter.s_in @ d.T - cov).max()
+                <= 1e-12 * np.abs(cov).max())
 
     def test_draw_matches_rollouts(self, rng):
         system = random_observable_system(rng)

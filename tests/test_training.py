@@ -17,6 +17,7 @@ from advrisk.training import (
     train,
 )
 from advrisk.trs import worst_case_batch
+from conftest import central_difference, random_spd
 
 
 def make_problem(a_star, eps=0.5, sigma_x=None, sigma_w_scale=0.1):
@@ -31,15 +32,6 @@ def _worst_case_mean_loss(a, xs, ys, eps):
     """Batch mean of the worst-case loss ``||b||^2 + gain`` with ``b = y - A x``."""
     b = ys - xs @ a.T
     return float(np.mean((b * b).sum(axis=1) + worst_case_batch(a, b, eps)[1]))
-
-
-def _central_difference(loss, a, h):
-    numeric = np.zeros_like(a)
-    for idx in np.ndindex(*a.shape):
-        basis = np.zeros_like(a)
-        basis[idx] = h
-        numeric[idx] = (loss(a + basis) - loss(a - basis)) / (2 * h)
-    return numeric
 
 
 class TestAdversarialLossGrad:
@@ -66,7 +58,7 @@ class TestAdversarialLossGrad:
             x = rng.standard_normal((1, 2))
             y = rng.standard_normal((1, 3))
             eps = float(rng.uniform(0.1, 1.0))
-            numeric = _central_difference(lambda m: _worst_case_mean_loss(m, x, y, eps), a, 1e-6)
+            numeric = central_difference(lambda m: _worst_case_mean_loss(m, x, y, eps), a, 1e-6)
             worst = max(worst, np.abs(_ar_batch_grad(a, x, y, eps) - numeric).max())
         assert worst <= 1e-4
 
@@ -78,7 +70,7 @@ class TestAdversarialLossGrad:
             xs = rng.standard_normal((16, n))
             ys = rng.standard_normal((16, p))
             eps = float(rng.uniform(0.1, 1.0))
-            numeric = _central_difference(lambda m: _worst_case_mean_loss(m, xs, ys, eps), a,
+            numeric = central_difference(lambda m: _worst_case_mean_loss(m, xs, ys, eps), a,
                                           1e-5)
             worst = max(worst, np.abs(_ar_batch_grad(a, xs, ys, eps) - numeric).max())
         assert worst <= 1e-6
@@ -90,14 +82,14 @@ class TestAdversarialLossGrad:
         adapter = as_estimation_problem(system, system.horizon)
         ys, xk = adapter.draw(32, RngStream(3, 7), 0)
         l = 1.1 * adapter.nominal
-        numeric = _central_difference(lambda m: _worst_case_mean_loss(m, ys, xk, 0.5), l, 1e-5)
+        numeric = central_difference(lambda m: _worst_case_mean_loss(m, ys, xk, 0.5), l, 1e-5)
         assert np.abs(_ar_batch_grad(l, ys, xk, 0.5) - numeric).max() <= 1e-6
 
 
 def _stepwise_iterates(adapter, config):
     """SGD as ``train`` runs it, with each step's batch drawn on its own."""
     a = adapter.nominal.copy()
-    c0 = config.resolved_step_c0(adapter.input_scale)
+    c0 = config.resolved_step_c0(adapter.s_in)
     stream = RngStream(config.seed, _TRAIN_STREAM)
     b = config.batch_size
     iterates = []
@@ -282,11 +274,14 @@ class TestParetoTrace:
 
 
 def test_problem_adapter_hooks(rng):
-    prob = make_problem(rng.standard_normal((2, 3)))
+    # a non-diagonal sigma_x: the data model's SR and gradient keep the plain
+    # model's bits
+    prob = make_problem(rng.standard_normal((2, 3)), sigma_x=random_spd(rng, 3))
     adapter = problem_adapter(prob)
     assert adapter.nominal.shape == (2, 3)
     a = rng.standard_normal((2, 3))
-    assert np.isclose(adapter.sr_closed(a), standard_risk_closed(a, prob))
+    assert adapter.sr_closed(a) == standard_risk_closed(a, prob)
+    assert np.array_equal(adapter.sr_grad(a), 2.0 * (a - prob.a_star) @ prob.sigma_x.matrix)
     assert np.allclose(adapter.sr_grad(prob.a_star), 0.0)
     xs, ys = adapter.draw(8, RngStream(12), 0)
     assert xs.shape == (8, 3) and ys.shape == (8, 2)
