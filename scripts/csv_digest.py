@@ -10,10 +10,11 @@ row), ``pareto`` (also at a size whose last training block is one step),
 of a dense 16 x 16 model (a lone row's 16-term sums),
 ``kalman-bounds`` at horizon 5, at horizon 0 (no process noise in the
 stacked model, and an infinite ``ub_kalman``), on two ``systems`` entries of
-horizons 3 and 5 with no ``k`` and on two whose small measurement noise puts
-``kalman_gap_upper_bound`` in its high-observability regime, and a
+horizons 3 and 5 with no ``k``, on two whose small measurement noise puts
+``kalman_gap_upper_bound`` in its high-observability regime and on a
+two-output system at ``k < N``, and a
 ``fig-kf-vs-adv`` that trains a smoother at an interior ``k < N``.  A
-``pareto`` run and a ``kalman-bounds`` system have non-diagonal
+``pareto`` run and two ``kalman-bounds`` systems have non-diagonal
 covariances, so the bytes depend on how each Cholesky factor is computed
 and applied.  Running it before and after a change that must not alter
 any number gives two tables that should match line for line.  With
@@ -108,6 +109,12 @@ EXTRA = {
             {"a": [[1.0, 0.5], [0.0, 1.0]], "c": [[1.0, 0.0]], "sigma_v": [[1e-4]],
              "horizon": 3},
         ]}),
+    # two outputs with non-diagonal sigma0 and sigma_v at k < N: the stacked
+    # measurement noise is I_{N+1} (x) a dense 2 x 2
+    "kalman_bounds_p2": dict(kind="kalman-bounds", n_samples=40_000, params={
+        "a": [[0.9, 0.3], [-0.3, 0.9]], "c": [[1.0, 0.0], [0.5, 1.0]], "k": 2, "horizon": 4,
+        "sigma0": [[1.0, 0.3], [0.3, 0.8]], "sigma_v": [[0.2, 0.05], [0.05, 0.3]],
+        "epsilon": 0.5}),
     "kf_vs_adv_smoother": dict(kind="fig-kf-vs-adv", n_samples=40_000,
                                params={"rhos": [0.3, 1.5], "k": 1, "horizon": 3, "epsilon": 0.5,
                                        "train": {"n_iters": 300, "batch_size": 16}}),

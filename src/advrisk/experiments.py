@@ -509,18 +509,13 @@ def _run_fig_kf_vs_adv(config: ExperimentConfig) -> ResultTable:
         system = shear_system(rho, horizon=horizon)
         gram = observability_gramian(system)
         adapter = as_estimation_problem(system, k)
-        nominal = adapter.nominal
         stream = RngStream(config.seed, _MC_STREAM)
-        sr_kf = estimator_sr_closed(nominal, system, k)
-        ar_kf = estimator_ar_mc(nominal, system, k, eps, config.n_samples, stream)
         robust = train(adapter, _train_config(config, eps, lam=math.inf))
-        sr_adv = estimator_sr_closed(robust, system, k)
-        ar_adv = estimator_ar_mc(robust, system, k, eps, config.n_samples, stream)
-        rows.append([
-            rho, gram.lambda_min, gram.min_singular_value,
-            sr_kf, ar_kf.mean, ar_kf.std_error,
-            sr_adv, ar_adv.mean, ar_adv.std_error,
-        ])
+        row = [rho, gram.lambda_min, gram.min_singular_value]
+        for l_mat in (adapter.nominal, robust):
+            ar = adapter.ar_mc(l_mat, eps, config.n_samples, stream)
+            row += [adapter.sr_closed(l_mat), ar.mean, ar.std_error]
+        rows.append(row)
     return ResultTable(
         header=["rho", "lambda_min_gramian", "sqrt_lambda_min_gramian",
                 "sr_kf", "ar_kf_mean", "ar_kf_stderr",

@@ -4,11 +4,14 @@ An LTI system ``x_{t+1} = A x_t + w_t``, ``y_t = C x_t + v_t`` observed over
 ``t = 0..N`` stacks into a linear inverse problem: the stacked measurement
 vector is ``Y = Obs x_0 + Toep W``, the target state is ``x_k = A^k x_0 +
 Gamma_k W``, and a linear estimator ``L`` maps ``Y`` to a state estimate.
-This module provides the stacked matrices, the observability gramian, the
-closed-form minimum-mean-square estimator (filter for ``k = N``, smoother
-for ``k < N``) in both stacked and recursive forms, Monte Carlo adversarial
-risks, and analytic bounds on the adversarial-standard risk gap driven by
-the gramian's spectrum.
+With the stacked noise ``xi = (x_0, W, V) ~ N(0, Sigma_xi)`` both are linear
+maps of one Gaussian vector, ``Y = M xi`` and ``x_k = S xi``, so an estimator
+leaves the residual ``(S - L M) xi`` and every second moment is a product on
+that map.  This module provides the stacked matrices, the observability
+gramian, the closed-form minimum-mean-square estimator (filter for ``k =
+N``, smoother for ``k < N``) in both stacked and recursive forms, Monte
+Carlo adversarial risks, and analytic bounds on the adversarial-standard
+risk gap driven by the gramian's spectrum.
 """
 
 from __future__ import annotations
@@ -73,12 +76,11 @@ class LtiSystem:
                 raise ValueError(f"{name} is {spec.dim}x{spec.dim}, expected {dim}x{dim}")
         if self.horizon < 0:
             raise ValueError("horizon must be >= 0")
-        # The stacked noise blocks, (nN)^2 and (p(N+1))^2 doubles, are built
-        # twice (covariances and colouring factors); a horizon whose blocks
+        # The joint noise covariance, the copy a draw factors and its colouring
+        # factor are d x d doubles, d = n + nN + p(N+1); a horizon whose arrays
         # cannot fit in physical memory is refused before any is built.
-        check_fits_in_memory(
-            16 * ((n * self.horizon) ** 2 + (c.shape[0] * (self.horizon + 1)) ** 2),
-            f"horizon {self.horizon}'s stacked arrays")
+        dim = n + n * self.horizon + c.shape[0] * (self.horizon + 1)
+        check_fits_in_memory(24 * dim * dim, f"horizon {self.horizon}'s stacked arrays")
 
     @classmethod
     def from_matrices(cls, a, c, sigma0, sigma_w, sigma_v, horizon) -> "LtiSystem":
@@ -98,13 +100,6 @@ class LtiSystem:
     @property
     def p(self) -> int:
         return self.c.shape[0]
-
-
-def _stacked_noise(initial, process, measurement, horizon: int):
-    """``(initial, I_N (x) process, I_{N+1} (x) measurement)``: the stacked
-    noise covariances, or their colouring factors in the same layout."""
-    return (initial, np.kron(np.eye(horizon), process),
-            np.kron(np.eye(horizon + 1), measurement))
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +148,25 @@ def build_stacked(system: LtiSystem, k: int) -> StackedModel:
     for j in range(k):
         gamma_k[:, j * n : (j + 1) * n] = pows[k - 1 - j]
     return StackedModel(obs=obs, toeplitz=toeplitz, gamma_k=gamma_k, a_pow_k=pows[k])
+
+
+def _joint(system: LtiSystem, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(M, S, Sigma_xi)``: with ``xi = (x_0, W, V) ~ N(0, Sigma_xi)``, the
+    stacked measurements are ``Y = M xi`` and the target is ``x_k = S xi``.
+
+    ``M = [obs | toeplitz | I]``, ``S = [A^k | Gamma_k | 0]`` and ``Sigma_xi =
+    blockdiag(Sigma_0, I_N (x) Sigma_w, I_{N+1} (x) Sigma_v)``.
+    """
+    stacked = build_stacked(system, k)
+    n, rows, horizon = system.n, stacked.obs.shape[0], system.horizon
+    meas = np.hstack([stacked.obs, stacked.toeplitz, np.eye(rows)])
+    state = np.hstack([stacked.a_pow_k, stacked.gamma_k, np.zeros((n, rows))])
+    noise = np.zeros((meas.shape[1], meas.shape[1]))
+    noise[:n, :n] = system.sigma0.matrix
+    tail = n * (horizon + 1)
+    noise[n:tail, n:tail] = np.kron(np.eye(horizon), system.sigma_w.matrix)
+    noise[tail:, tail:] = np.kron(np.eye(horizon + 1), system.sigma_v.matrix)
+    return meas, state, noise
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,23 +218,28 @@ def is_observable(system: LtiSystem) -> bool:
     return bool(np.sum(s > 1e-10 * s[0]) == system.n)
 
 
-def _mmse(system: LtiSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(L, G_yy)``: the minimum-mean-square estimator ``L = G_xy G_yy^-1`` of
-    ``x_k`` and the covariance ``G_yy`` of the stacked measurements ``Y``."""
+def _mmse(system: LtiSystem, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(L, G_yy, P)``: the minimum-mean-square estimator ``L = G_xy G_yy^-1``
+    of ``x_k``, the covariance ``G_yy = M Sigma_xi M'`` of the stacked
+    measurements and the symmetrized residual covariance ``P = R Sigma_xi R'``,
+    ``R = S - L M``."""
     # Every power of A up to the horizon enters obs, so an overflow anywhere in
     # the stacked model leaves G_yy or G_xy non-finite and raises here; later
     # builds of the same stacked model then overflow nowhere.
     with np.errstate(over="ignore", invalid="ignore"):
-        stacked = build_stacked(system, k)
-        sigma0, iw, iv = _stacked_noise(system.sigma0.matrix, system.sigma_w.matrix,
-                                       system.sigma_v.matrix, system.horizon)
-        obs, tau = stacked.obs, stacked.toeplitz
-        g_yy = obs @ sigma0 @ obs.T + tau @ iw @ tau.T + iv
-        g_xy = stacked.a_pow_k @ sigma0 @ obs.T + stacked.gamma_k @ iw @ tau.T
+        meas, state, noise = _joint(system, k)
+        g_yy = meas @ noise @ meas.T
+        g_xy = state @ noise @ meas.T
     if not (np.isfinite(g_yy).all() and np.isfinite(g_xy).all()):
         raise FloatingPointError("the stacked second moments G_yy, G_xy overflow: the "
                                  "system's scale is too large")
-    return np.linalg.solve(g_yy.T, g_xy.T).T, g_yy
+    gain = np.linalg.solve(g_yy.T, g_xy.T).T
+    # P may overflow where L does not; the adapter's SR then reads inf, as
+    # estimator_sr_closed does
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = state - gain @ meas
+        cov = resid @ noise @ resid.T
+        return gain, g_yy, 0.5 * (cov + cov.T)
 
 
 def kalman_estimator(system: LtiSystem, k: int) -> np.ndarray:
@@ -269,38 +288,29 @@ def _check_estimator_shape(l, system: LtiSystem) -> np.ndarray:
     return l
 
 
-def _residual_terms(l, system: LtiSystem, k: int):
-    """The residual ``x_k - L Y`` as three (map, noise covariance) pairs:
-    initial-state mismatch, process-noise mismatch, and measurement noise."""
+def _residual(l, system: LtiSystem, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(R, Sigma_xi)``: the residual ``x_k - L Y = R xi``, ``R = S - L M``."""
     l = _check_estimator_shape(l, system)
-    stacked = build_stacked(system, k)
-    sigma0, iw, iv = _stacked_noise(system.sigma0.matrix, system.sigma_w.matrix,
-                                   system.sigma_v.matrix, system.horizon)
-    return (
-        (stacked.a_pow_k - l @ stacked.obs, sigma0),
-        (stacked.gamma_k - l @ stacked.toeplitz, iw),
-        (l, iv),
-    )
+    meas, state, noise = _joint(system, k)
+    return state - l @ meas, noise
 
 
 def estimator_sr_closed(l, system: LtiSystem, k: int) -> float:
-    """Standard risk ``E ||x_k - L Y||^2`` in closed form.
+    """Standard risk ``E ||x_k - L Y||^2 = tr(R Sigma_xi R')`` in closed form.
 
-    Sum of three weighted Frobenius norms: initial-state mismatch, process
-    noise mismatch, and measurement noise amplification.  As in
-    ``risk.standard_risk_closed``, an overflow is reported as inf, and a NaN
-    reaches run_experiment's NaN check.
+    As in ``risk.standard_risk_closed``, an overflow is reported as inf, and
+    a NaN reaches run_experiment's NaN check.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        term0, term_w, term_v = (np.sum((m @ noise) * m)
-                                 for m, noise in _residual_terms(l, system, k))
-        return float(term0 + term_w + term_v)
+        resid, noise = _residual(l, system, k)
+        return float(np.sum((resid @ noise) * resid))
 
 
 def residual_covariance(l, system: LtiSystem, k: int) -> CovarianceSpec:
-    """Covariance of the estimation residual ``x_k - L Y`` (n x n, PSD)."""
-    term0, term_w, term_v = (m @ noise @ m.T for m, noise in _residual_terms(l, system, k))
-    return validate_covariance(term0 + term_w + term_v, name="residual covariance")
+    """Covariance ``R Sigma_xi R'`` of the estimation residual ``x_k - L Y``
+    (n x n, PSD)."""
+    resid, noise = _residual(l, system, k)
+    return validate_covariance(resid @ noise @ resid.T, name="residual covariance")
 
 
 def simulate_rollouts(
@@ -315,22 +325,10 @@ def simulate_rollouts(
     Row ``i`` is generated from the counter block of rollout
     ``base_index + i``; draws are shard-invariant.
     """
-    stacked = build_stacked(system, k)
-    l0, lw, lv = _stacked_noise(cholesky_factor(system.sigma0), cholesky_factor(system.sigma_w),
-                                cholesky_factor(system.sigma_v), system.horizon)
-    n, p, horizon = system.n, system.p, system.horizon
-    width = n + n * horizon + p * (horizon + 1)
-    z = stream.normal_block(base_index, count, width)
-    x0 = z[:, :n] @ l0.T
-    w = z[:, n : n + n * horizon] @ lw.T
-    v = z[:, n + n * horizon :] @ lv.T
-    del z
-    ys = x0 @ stacked.obs.T
-    ys += w @ stacked.toeplitz.T
-    ys += v
-    xk = x0 @ stacked.a_pow_k.T
-    xk += w @ stacked.gamma_k.T
-    return ys, xk
+    meas, state, noise = _joint(system, k)
+    factor = cholesky_factor(CovarianceSpec(noise))
+    xi = stream.normal_block(base_index, count, noise.shape[0]) @ factor.T
+    return xi @ meas.T, xi @ state.T
 
 
 def _rollout_mean(l, system, k, epsilon, n_samples, stream, base_index, column):
@@ -387,12 +385,14 @@ def gap_lower_bounds(l, system: LtiSystem, k: int, epsilon: float) -> tuple[floa
     would claim too much.
     """
     l = _check_estimator_shape(l, system)
-    cov = residual_covariance(l, system, k).matrix
-    inner = l.T @ cov @ l
-    eigs = np.clip(np.linalg.eigvalsh(0.5 * (inner + inner.T)), 0.0, None)
+    # tr((L' C L)^{1/2}) is the nuclear norm of C^{1/2} L: the sum of the n
+    # singular values of Lambda^{1/2} V' L, with C = V Lambda V'.  (L' C L has
+    # rank <= n but p(N+1) eigenvalues, whose rounding noise would add to it.)
+    lam, vecs = np.linalg.eigh(residual_covariance(l, system, k).matrix)
+    root = np.sqrt(np.clip(lam, 0.0, None))[:, None] * (vecs.T @ l)
     with np.errstate(over="raise"):
         scale = _HALF_NORMAL * 2.0 * epsilon / np.sqrt(system.n)
-        general = scale * float(np.sqrt(eigs).sum())
+        general = scale * float(np.linalg.svd(root, compute_uv=False).sum())
         sv_min = float(np.linalg.eigvalsh(system.sigma_v.matrix)[0])
         frobenius = scale * np.sqrt(sv_min) * float(np.sum(l * l))
     return general, frobenius
@@ -412,17 +412,15 @@ def _nominal_spectra(system: LtiSystem, k: int):
     """``(gramian, sigma_v, sigma_bar, state)``: the observability gramian and
     the (min, max) eigenvalues, as numpy scalars, of ``Sigma_v``, of
     ``Sigma_bar = blockdiag(Sigma_0, I_N (x) Sigma_w)`` and of ``Cov(x_k) =
-    A^k Sigma_0 (A^k)' + sum_{i=1}^k A^{k-i} Sigma_w (A^{k-i})'``."""
+    S Sigma_xi S'``."""
     _check_k(system, k)
     gram = observability_gramian(system)
     sv = np.linalg.eigvalsh(system.sigma_v.matrix)
     e0 = np.linalg.eigvalsh(system.sigma0.matrix)
     ew = np.linalg.eigvalsh(system.sigma_w.matrix) if system.horizon else e0
-    pows = _powers(system.a, k)
-    state = pows[k] @ system.sigma0.matrix @ pows[k].T
-    for i in range(1, k + 1):
-        state = state + pows[k - i] @ system.sigma_w.matrix @ pows[k - i].T
-    sx = np.linalg.eigvalsh(0.5 * (state + state.T))
+    _, state, noise = _joint(system, k)
+    cov = state @ noise @ state.T
+    sx = np.linalg.eigvalsh(0.5 * (cov + cov.T))
     return (gram, (sv[0], sv[-1]), (min(e0[0], ew[0]), max(e0[-1], ew[-1])),
             (sx[0], sx[-1]))
 
@@ -486,7 +484,7 @@ def as_estimation_problem(system: LtiSystem, k: int) -> EstimationProblem:
     input role and the target state ``x_k`` the output role, so robust smoothers
     are trained on the data model ``(L_kf, G_yy, Cov(x_k - L_kf Y))``.
     """
-    nominal, g_yy = _mmse(system, k)
+    nominal, g_yy, cov = _mmse(system, k)
 
     def ar_mc(l, eps, n_samples, stream):
         return estimator_ar_mc(l, system, k, eps, n_samples, stream)
@@ -494,7 +492,7 @@ def as_estimation_problem(system: LtiSystem, k: int) -> EstimationProblem:
     return EstimationProblem(
         nominal=nominal,
         s_in=0.5 * (g_yy + g_yy.T),
-        noise=residual_covariance(nominal, system, k).matrix,
+        noise=cov,
         draw=partial(simulate_rollouts, system, k),
         ar_mc=ar_mc,
     )

@@ -74,9 +74,15 @@ def svg_line_chart(series, title: str = "", xlabel: str = "", ylabel: str = "") 
 
 
 def frontier_svg(table, path, title: str = "") -> None:
-    """Chart a ResultTable: (sr, ar) frontier if present, else first two columns."""
+    """Chart a ResultTable: (sr, ar) frontier if present, each estimator's AR
+    against rho for fig-kf-vs-adv, else the first two columns."""
     header = table.header
-    if "sr" in header and "ar_mean" in header:
+    if "ar_kf_mean" in header:
+        rho = table.column("rho")
+        series = [("Kalman", rho, table.column("ar_kf_mean")),
+                  ("robust", rho, table.column("ar_adv_mean"))]
+        svg = svg_line_chart(series, title=title, xlabel="rho", ylabel="adversarial risk")
+    elif "sr" in header and "ar_mean" in header:
         # one series per combination of the grouping columns present, so that
         # e.g. fig-observability draws one frontier per (alpha, k)
         keys = [c for c in ("kappa", "alpha", "k", "rho", "system_id") if c in header]

@@ -231,10 +231,10 @@ def gap_bounds_mc(
 
 
 def isotropic_scale(cov: np.ndarray) -> float | None:
-    """Return ``c`` if ``cov == c * I`` within ``ISOTROPY_TOL``, else None."""
+    """Return ``c`` if ``cov == c * I`` within ``ISOTROPY_TOL * |c|``, else None."""
     cov = np.asarray(cov, dtype=float)
     c = float(np.trace(cov)) / cov.shape[0]
-    if np.abs(cov - c * np.eye(cov.shape[0])).max() > ISOTROPY_TOL:
+    if np.abs(cov - c * np.eye(cov.shape[0])).max() > ISOTROPY_TOL * abs(c):
         return None
     return c
 

@@ -25,6 +25,7 @@ from advrisk.experiments import (
     shear_system,
 )
 from advrisk.model import RngStream
+from advrisk.plotting import svg_line_chart
 
 # A valid one-state system, as a kalman-bounds `systems` entry.
 _SYSTEM = {"a": [[1.0]], "c": [[1.0]], "horizon": 2}
@@ -214,6 +215,26 @@ class TestRunExperiment:
         svg = (tmp_path / "obs.svg").read_text()
         assert svg.count("<polyline") == 4
         assert "alpha=0.95, k=5" in svg
+
+    def test_fig_kf_vs_adv_svg_draws_each_estimators_ar_against_rho(self, tmp_path):
+        out = tmp_path / "kf.csv"
+        cfg = ExperimentConfig(
+            kind="fig-kf-vs-adv",
+            params={"rhos": [0.3, 1.0, 3.0], "horizon": 3, "epsilon": 0.5,
+                    "train": {"n_iters": 10, "batch_size": 8}},
+            n_samples=200, seed=9, output_path=str(out), svg=True,
+        )
+        table = run_experiment(cfg)
+        svg = (tmp_path / "kf.svg").read_text()
+        assert svg.count("<polyline") == 2
+        assert ">Kalman<" in svg and ">robust<" in svg
+        assert ">rho<" in svg and ">adversarial risk<" in svg
+        rho = table.column("rho")
+        series = [("kf", rho, table.column("ar_kf_mean")),
+                  ("adv", rho, table.column("ar_adv_mean"))]
+        want = svg_line_chart(series, xlabel="rho", ylabel="adversarial risk")
+        polylines = [line for line in svg.splitlines() if line.startswith("<polyline")]
+        assert polylines == [line for line in want.splitlines() if line.startswith("<polyline")]
 
     def test_kalman_bounds_defaults_k_to_each_system_horizon(self):
         system = {"a": [[1.0, 0.5], [0.0, 1.0]], "c": [[1.0, 0.0]], "horizon": 3}

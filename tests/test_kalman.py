@@ -3,6 +3,7 @@ import pytest
 
 from advrisk.kalman import (
     LtiSystem,
+    _joint,
     as_estimation_problem,
     build_stacked,
     estimator_ar_mc,
@@ -49,6 +50,20 @@ def random_observable_system(rng, n=3, p=2, horizon=4):
             return system
 
 
+def three_term_residual(l_mat, system, k):
+    """Independent oracle: the residual ``x_k - L Y`` as initial-state, process
+    noise and measurement noise terms; returns ``(covariance, SR)``."""
+    stacked = build_stacked(system, k)
+    terms = [
+        (stacked.a_pow_k - l_mat @ stacked.obs, system.sigma0.matrix),
+        (stacked.gamma_k - l_mat @ stacked.toeplitz,
+         np.kron(np.eye(system.horizon), system.sigma_w.matrix)),
+        (l_mat, np.kron(np.eye(system.horizon + 1), system.sigma_v.matrix)),
+    ]
+    return (sum(m @ noise @ m.T for m, noise in terms),
+            sum(np.sum((m @ noise) * m) for m, noise in terms))
+
+
 def simulate_stepwise(system, x0, w_seq, v_seq):
     """Independent oracle: literal state recursion, one step at a time."""
     xs = [np.asarray(x0, dtype=float)]
@@ -88,6 +103,11 @@ class TestBuildStacked:
             x_k = stacked.a_pow_k @ x0 + stacked.gamma_k @ w_seq.ravel()
             assert np.allclose(y_stacked, np.concatenate(ys), atol=1e-12)
             assert np.allclose(x_k, xs[k], atol=1e-12)
+            # the joint map: Y = M xi and x_k = S xi with xi = (x_0, W, V)
+            meas, state, _ = _joint(system, k)
+            xi = np.concatenate([x0, w_seq.ravel(), v_seq.ravel()])
+            assert np.allclose(meas @ xi, np.concatenate(ys), atol=1e-12)
+            assert np.allclose(state @ xi, xs[k], atol=1e-12)
 
 
 class TestGramian:
@@ -235,6 +255,18 @@ class TestSrClosedAndResidualCovariance:
         mc = estimator_sr_mc(l_mat, system, k, 60_000, RngStream(21))
         assert abs(mc.mean - closed) <= 3 * mc.std_error
 
+    @pytest.mark.parametrize("n, p, horizon, k", [
+        (3, 2, 4, 4), (3, 2, 4, 1), (2, 1, 5, 3), (2, 2, 0, 0), (3, 1, 3, 0),
+    ], ids=["p2-filter", "p2-smoother", "p1-smoother", "p2-horizon0", "p1-k0"])
+    def test_matches_three_term_form(self, rng, n, p, horizon, k):
+        system = random_observable_system(rng, n=n, p=p, horizon=horizon)
+        for l_mat in (kalman_estimator(system, k),
+                      rng.standard_normal((n, p * (horizon + 1)))):
+            want_cov, want_sr = three_term_residual(l_mat, system, k)
+            cov = residual_covariance(l_mat, system, k).matrix
+            assert np.abs(cov - want_cov).max() <= 1e-13 * np.abs(want_cov).max()
+            assert abs(estimator_sr_closed(l_mat, system, k) - want_sr) <= 1e-13 * want_sr
+
     def test_residual_covariance_matches_sample_covariance(self, rng):
         system = random_observable_system(rng, n=2, p=1, horizon=3)
         k = 1
@@ -288,6 +320,26 @@ class TestGapBounds:
             assert frob <= general + 1e-12
             assert general <= gap.mean + 3 * gap.std_error
             assert gap.mean <= upper + 3 * gap.std_error
+
+    @pytest.mark.parametrize("n, p, horizon", [(3, 2, 4), (2, 1, 5), (2, 2, 3), (4, 1, 6)])
+    def test_general_lower_bound_is_the_n_by_n_form(self, rng, n, p, horizon):
+        # tr((L' C L)^{1/2}) = tr((C^{1/2} L L' C^{1/2})^{1/2}): the n x n form
+        # has no rounding-level eigenvalues beyond rank n to add to the sum.
+        # Squaring costs the oracle about 1e-16 cond(C^{1/2} L) relative: these
+        # cases have cond <= 70 and deviate by <= 1.1e-15
+        eps = 0.5
+        for _ in range(3):
+            system = random_observable_system(rng, n=n, p=p, horizon=horizon)
+            k = int(rng.integers(0, horizon + 1))
+            for l_mat in (kalman_estimator(system, k),
+                          rng.standard_normal((n, p * (horizon + 1)))):
+                lam, vecs = np.linalg.eigh(residual_covariance(l_mat, system, k).matrix)
+                root_c = (vecs * np.sqrt(lam)) @ vecs.T
+                inner = root_c @ l_mat @ l_mat.T @ root_c
+                eigs = np.linalg.eigvalsh(0.5 * (inner + inner.T))
+                want = 2 * np.sqrt(2 / np.pi) * eps / np.sqrt(n) * np.sqrt(eigs).sum()
+                general, _ = gap_lower_bounds(l_mat, system, k, eps)
+                assert abs(general - want) <= 1e-14 * want
 
     def test_nominal_bounds_bracket_gap(self, rng):
         eps = 0.5

@@ -186,6 +186,21 @@ class TestAstarGapBounds:
         with pytest.raises(ValueError, match="isotropic"):
             astar_gap_bounds(prob)
 
+    @pytest.mark.parametrize("scale", [1e-11, 1.0, 1e6])
+    def test_isotropy_is_judged_relative_to_the_scale(self, scale):
+        # at a = A* the bounds run writes the closed form for s I alone, at
+        # any scale: an absolute tolerance took a correlated 1e-11 matrix
+        # for isotropic
+        def header(sigma_w):
+            params = {"a_star": [[1.0, 0.2], [0.0, 0.8]], "sigma_w": sigma_w, "epsilon": 0.5}
+            return run_experiment(ExperimentConfig(kind="bounds", params=params,
+                                                   n_samples=200)).header
+
+        assert "closed_lower" in header((scale * np.eye(2)).tolist())
+        correlated = (scale * np.array([[1.0, 0.9], [0.9, 1.0]])).tolist()
+        assert "closed_lower" not in header(correlated)
+        assert risk.isotropic_scale(np.array(correlated)) is None
+
     def test_sandwiches_monte_carlo(self, rng):
         a = rng.standard_normal((4, 4))
         prob = make_problem(a, sigma_w=0.16 * np.eye(4), eps=0.5)
